@@ -91,39 +91,58 @@ inline uint64_t seed_base(const BenchArgs& args, uint64_t fallback) {
   return args.seed_base != 0 ? args.seed_base : fallback;
 }
 
-[[noreturn]] inline void usage(const char* prog) {
-  std::fprintf(stderr,
-               "usage: %s [N | --runs N] [--seeds B (nonzero)] "
-               "[--workers N] [--shard i/N] [--policy NAME] "
-               "[--cache-dir DIR] [--json-out FILE] [--supervised] "
-               "[--journal DIR] [--crash-at I:MODE[:TIMES]] "
-               "[--attempts K] [--spec-timeout S] [--sweep-timeout S]\n",
-               prog);
-  std::exit(2);
+/// The usage line of one bench: the flags every bench takes, the optional
+/// groups it accepts (parse_args' has_* switches), then `own_flags`, the
+/// flags the bench strips from argv itself before parse_args runs.
+inline std::string usage_line(const char* prog, bool has_reps,
+                              bool has_shards, bool has_policy,
+                              bool has_cache, bool has_supervise,
+                              const char* own_flags = "") {
+  std::string line = std::string("usage: ") + prog;
+  if (has_reps) line += " [N | --runs N] [--seeds B (nonzero)]";
+  line += " [--workers N]";
+  if (has_shards) line += " [--shard i/N]";
+  if (has_policy) line += " [--policy NAME]";
+  if (has_cache) line += " [--cache-dir DIR]";
+  line += " [--json-out FILE]";
+  if (has_supervise) {
+    line +=
+        " [--supervised] [--journal DIR] [--crash-at I:MODE[:TIMES]]"
+        " [--attempts K] [--spec-timeout S] [--sweep-timeout S]";
+  }
+  if (*own_flags != '\0') line += std::string(" ") + own_flags;
+  return line;
 }
 
-/// Reject a flag with a specific reason before the generic usage line —
-/// "--shard: shard index 4 out of range for 4 shards" beats a bare
-/// usage dump.
-[[noreturn]] inline void reject(const char* prog, const std::string& flag,
-                                const std::string& reason) {
-  std::fprintf(stderr, "%s: %s: %s\n", prog, flag.c_str(), reason.c_str());
-  usage(prog);
-}
+/// A bench's command-line diagnostics: its name and its usage line.
+struct Cli {
+  const char* prog;
+  std::string usage;
+
+  /// Reject a flag with a specific reason before the usage line —
+  /// "--shard: shard index 4 out of range for 4 shards" beats a bare
+  /// usage dump.
+  [[noreturn]] void reject(const std::string& flag,
+                           const std::string& reason) const {
+    std::fprintf(stderr, "%s: %s: %s\n%s\n", prog, flag.c_str(),
+                 reason.c_str(), usage.c_str());
+    std::exit(2);
+  }
+};
 
 /// Strict positive-integer parse: trailing garbage ("1O", "4x") must fail
 /// loudly, not silently truncate into a wrong-but-plausible count.
-inline int parse_positive_int(const char* prog, const std::string& flag,
+inline int parse_positive_int(const Cli& cli, const std::string& flag,
                               const char* text) {
   char* end = nullptr;
   const long n = std::strtol(text, &end, 10);
   if (end == text || *end != '\0') {
-    reject(prog, flag, std::string("expects a positive integer, got '") +
-                           text + "'");
+    cli.reject(flag, std::string("expects a positive integer, got '") +
+                         text + "'");
   }
   if (n <= 0 || n > 1000000) {
-    reject(prog, flag,
-           std::string("must be in [1, 1000000], got '") + text + "'");
+    cli.reject(flag,
+               std::string("must be in [1, 1000000], got '") + text + "'");
   }
   return static_cast<int>(n);
 }
@@ -132,51 +151,47 @@ inline int parse_positive_int(const char* prog, const std::string& flag,
 /// 0 <= i < N. Every malformed shape gets its own message — a CI matrix
 /// that typos its shard arithmetic should fail with the reason, not run
 /// the wrong partition.
-inline void parse_shard(const char* prog, const char* text, int* index,
+inline void parse_shard(const Cli& cli, const char* text, int* index,
                         int* count) {
   const std::string s = text;
   const auto slash = s.find('/');
   if (slash == std::string::npos || slash == 0 || slash + 1 >= s.size()) {
-    reject(prog, "--shard",
-           "expects i/N (e.g. 0/4), got '" + s + "'");
+    cli.reject("--shard", "expects i/N (e.g. 0/4), got '" + s + "'");
   }
   char* end = nullptr;
   const long i = std::strtol(s.c_str(), &end, 10);
   if (end != s.c_str() + slash) {
-    reject(prog, "--shard",
-           "shard index must be an integer, got '" + s.substr(0, slash) +
-               "'");
+    cli.reject("--shard", "shard index must be an integer, got '" +
+                              s.substr(0, slash) + "'");
   }
   const char* count_text = s.c_str() + slash + 1;
   const long n = std::strtol(count_text, &end, 10);
   if (end == count_text || *end != '\0') {
-    reject(prog, "--shard",
-           "shard count must be an integer, got '" + s.substr(slash + 1) +
-               "'");
+    cli.reject("--shard", "shard count must be an integer, got '" +
+                              s.substr(slash + 1) + "'");
   }
   if (n <= 0) {
-    reject(prog, "--shard",
-           "shard count must be positive, got " + std::to_string(n));
+    cli.reject("--shard",
+               "shard count must be positive, got " + std::to_string(n));
   }
   if (i < 0 || i >= n) {
-    reject(prog, "--shard",
-           "shard index " + std::to_string(i) + " out of range for " +
-               std::to_string(n) + " shards (need 0 <= i < N)");
+    cli.reject("--shard", "shard index " + std::to_string(i) +
+                              " out of range for " + std::to_string(n) +
+                              " shards (need 0 <= i < N)");
   }
   *index = static_cast<int>(i);
   *count = static_cast<int>(n);
 }
 
 /// Strict positive-double parse for the wall-clock budget flags.
-inline double parse_positive_double(const char* prog,
-                                    const std::string& flag,
+inline double parse_positive_double(const Cli& cli, const std::string& flag,
                                     const char* text) {
   char* end = nullptr;
   const double v = std::strtod(text, &end);
   if (end == text || *end != '\0' || !(v > 0.0)) {
-    reject(prog, flag,
-           std::string("expects a positive number of seconds, got '") +
-               text + "'");
+    cli.reject(flag,
+               std::string("expects a positive number of seconds, got '") +
+                   text + "'");
   }
   return v;
 }
@@ -190,32 +205,32 @@ inline double parse_positive_double(const char* prog,
 /// has_policy the benches that can restrict to one controller kind,
 /// has_cache the benches whose sweeps run through the result cache when
 /// --cache-dir is given, and has_supervise the benches that can run under
-/// the process-level sweep supervisor.
+/// the process-level sweep supervisor. Rejections print the usage line
+/// of exactly these groups plus `own_flags` (see usage_line).
 inline BenchArgs parse_args(int argc, char** argv, int default_runs,
                             bool has_reps = true, bool has_shards = false,
                             bool has_policy = false, bool has_cache = false,
-                            bool has_supervise = false) {
+                            bool has_supervise = false,
+                            const char* own_flags = "") {
+  const Cli cli{argv[0], usage_line(argv[0], has_reps, has_shards, has_policy,
+                                    has_cache, has_supervise, own_flags)};
   BenchArgs args;
   args.runs = default_runs;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        reject(argv[0], arg, "expects a value");
-      }
+      if (i + 1 >= argc) cli.reject(arg, "expects a value");
       return argv[++i];
     };
     const auto reps_only = [&]() {
       if (has_reps) return;
-      std::fprintf(stderr,
-                   "%s: %s not applicable — this bench sweeps its whole "
-                   "parameter space and has no seeded replicates\n",
-                   argv[0], arg.c_str());
-      std::exit(2);
+      cli.reject(arg,
+                 "not applicable — this bench sweeps its whole parameter "
+                 "space and has no seeded replicates");
     };
     if (arg == "--runs") {
       reps_only();
-      args.runs = parse_positive_int(argv[0], arg, value());
+      args.runs = parse_positive_int(cli, arg, value());
     } else if (arg == "--seeds") {
       reps_only();
       const char* v = value();
@@ -225,43 +240,41 @@ inline BenchArgs parse_args(int argc, char** argv, int default_runs,
       // or zero base must fail loudly rather than silently rerunning the
       // published tables.
       if (end == v || *end != '\0' || args.seed_base == 0) {
-        reject(argv[0], arg,
-               std::string("expects a nonzero seed base, got '") + v + "'");
+        cli.reject(arg, std::string("expects a nonzero seed base, got '") +
+                            v + "'");
       }
     } else if (arg == "--workers") {
-      args.workers = parse_positive_int(argv[0], arg, value());
+      args.workers = parse_positive_int(cli, arg, value());
     } else if (arg == "--shard") {
       const char* v = value();
       if (!has_shards) {
-        reject(argv[0], arg,
-               "not supported — this bench runs its whole grid in one "
-               "process");
+        cli.reject(arg,
+                   "not supported — this bench runs its whole grid in one "
+                   "process");
       }
-      parse_shard(argv[0], v, &args.shard_index, &args.shard_count);
+      parse_shard(cli, v, &args.shard_index, &args.shard_count);
     } else if (arg == "--policy") {
       const char* v = value();
       if (!has_policy) {
-        reject(argv[0], arg,
-               "not supported — this bench does not compare controller "
-               "policies");
+        cli.reject(arg,
+                   "not supported — this bench does not compare controller "
+                   "policies");
       }
       const auto kind = core::policy_kind_from_string(v);
       if (!kind) {
-        reject(argv[0], arg,
-               std::string("unknown policy '") + v +
-                   "' (registered: " + core::known_policy_names() + ")");
+        cli.reject(arg, std::string("unknown policy '") + v +
+                            "' (registered: " + core::known_policy_names() +
+                            ")");
       }
       args.policy = *kind;
     } else if (arg == "--cache-dir") {
       const char* v = value();
       if (!has_cache) {
-        reject(argv[0], arg,
-               "not supported — this bench does not run content-addressed "
-               "sweeps");
+        cli.reject(arg,
+                   "not supported — this bench does not run "
+                   "content-addressed sweeps");
       }
-      if (*v == '\0') {
-        reject(argv[0], arg, "expects a directory path");
-      }
+      if (*v == '\0') cli.reject(arg, "expects a directory path");
       args.cache_dir = v;
     } else if (arg == "--json-out") {
       args.json_out = value();
@@ -269,32 +282,32 @@ inline BenchArgs parse_args(int argc, char** argv, int default_runs,
                arg == "--crash-at" || arg == "--attempts" ||
                arg == "--spec-timeout" || arg == "--sweep-timeout") {
       if (!has_supervise) {
-        reject(argv[0], arg,
-               "not supported — this bench does not run supervised "
-               "sweeps");
+        cli.reject(arg,
+                   "not supported — this bench does not run supervised "
+                   "sweeps");
       }
       if (arg == "--supervised") {
         args.supervised = true;
       } else if (arg == "--journal") {
         const char* v = value();
-        if (*v == '\0') reject(argv[0], arg, "expects a directory path");
+        if (*v == '\0') cli.reject(arg, "expects a directory path");
         args.journal_dir = v;
       } else if (arg == "--crash-at") {
         // Validated against the full <spec>:<mode>[:times] grammar by the
         // bench once the grid exists (the spec index is grid-relative).
         args.crash_at = value();
       } else if (arg == "--attempts") {
-        args.attempts = parse_positive_int(argv[0], arg, value());
+        args.attempts = parse_positive_int(cli, arg, value());
       } else if (arg == "--spec-timeout") {
-        args.spec_timeout_s = parse_positive_double(argv[0], arg, value());
+        args.spec_timeout_s = parse_positive_double(cli, arg, value());
       } else {
-        args.sweep_timeout_s = parse_positive_double(argv[0], arg, value());
+        args.sweep_timeout_s = parse_positive_double(cli, arg, value());
       }
     } else if (i == 1 && arg[0] >= '0' && arg[0] <= '9') {
       reps_only();
-      args.runs = parse_positive_int(argv[0], "run count", arg.c_str());
+      args.runs = parse_positive_int(cli, "run count", arg.c_str());
     } else {
-      reject(argv[0], arg, "unknown argument");
+      cli.reject(arg, "unknown argument");
     }
   }
   return args;

@@ -216,16 +216,17 @@ Baseline load_baseline(const std::string& path, const GridShape& current) {
   return base;
 }
 
+/// The flags main() strips from argv before the shared parser runs.
+constexpr const char* kOwnFlags =
+    "[--baseline FILE] [--cache-dir DIR] [--table-out FILE] "
+    "[--merge FILE|GLOB]... [--faults transient:SEED|persistent|chaos:SEED]";
+
+/// Same usage line as parse_args prints for main()'s flag groups.
 int fail_usage(const char* prog, const std::string& msg) {
-  std::fprintf(stderr, "%s: %s\n", prog, msg.c_str());
-  std::fprintf(stderr,
-               "usage: %s [--baseline FILE] [--cache-dir DIR] "
-               "[--table-out FILE] [--merge FILE|GLOB]... "
-               "[--faults transient:SEED|persistent|chaos:SEED] "
-               "[--supervised [--journal DIR] [--crash-at I:MODE[:TIMES]] "
-               "[--attempts K] [--spec-timeout S] [--sweep-timeout S]] "
-               "[bench flags]\n",
-               prog);
+  const std::string usage = benchharness::usage_line(
+      prog, /*has_reps=*/true, /*has_shards=*/true, /*has_policy=*/false,
+      /*has_cache=*/false, /*has_supervise=*/true, kOwnFlags);
+  std::fprintf(stderr, "%s: %s\n%s\n", prog, msg.c_str(), usage.c_str());
   return 2;
 }
 
@@ -592,7 +593,7 @@ int main(int argc, char** argv) {
                                        /*has_reps=*/true, /*has_shards=*/true,
                                        /*has_policy=*/false,
                                        /*has_cache=*/false,
-                                       /*has_supervise=*/true);
+                                       /*has_supervise=*/true, kOwnFlags);
   if (args.json_out.empty()) args.json_out = "BENCH_sweep.json";
   const uint64_t seed0 = benchharness::seed_base(args, 1000);
   const sim::MachineConfig machine = sim::haswell_2650v3();

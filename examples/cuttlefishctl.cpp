@@ -298,7 +298,7 @@ int cmd_regions(const char* path) {
   for (int entry = 1; entry <= 2; ++entry) {
     Region region(session, "cg-solve");
     while (!sim_machine.workload_done() &&
-           platform.read_sensors().instructions <
+           platform.sample_sensors().sample.instructions <
                static_cast<uint64_t>(cycle_instructions) *
                    static_cast<uint64_t>(entry)) {
       sim_machine.advance(cfg.tinv_s);

@@ -94,7 +94,7 @@ int main() {
         session.controller()->stats().samples_recorded;
     Region region(session, "amg-cycle");
     while (!sim_machine.workload_done() &&
-           platform.read_sensors().instructions <
+           platform.sample_sensors().sample.instructions <
                static_cast<uint64_t>(cycle_instructions) *
                    static_cast<uint64_t>(entry)) {
       sim_machine.advance(cfg.tinv_s);

@@ -47,18 +47,10 @@ class SelfDrivingSimPlatform final : public hal::PlatformInterface {
   const FreqLadder& uncore_ladder() const override {
     return inner_.uncore_ladder();
   }
-  void set_core_frequency(FreqMHz f) override {
-    inner_.set_core_frequency(f);
-  }
-  void set_uncore_frequency(FreqMHz f) override {
-    inner_.set_uncore_frequency(f);
-  }
   FreqMHz core_frequency() const override { return inner_.core_frequency(); }
   FreqMHz uncore_frequency() const override {
     return inner_.uncore_frequency();
   }
-  hal::SensorTotals read_sensors() override { return inner_.read_sensors(); }
-  hal::SensorSample read_sample() override { return inner_.read_sample(); }
   hal::IoOutcome apply_core_frequency(FreqMHz f) override {
     return inner_.apply_core_frequency(f);
   }

@@ -69,16 +69,6 @@ const FreqLadder& RealtimeSimPlatform::uncore_ladder() const {
   return machine_.config().uncore_ladder;
 }
 
-void RealtimeSimPlatform::set_core_frequency(FreqMHz f) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  platform_.set_core_frequency(f);
-}
-
-void RealtimeSimPlatform::set_uncore_frequency(FreqMHz f) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  platform_.set_uncore_frequency(f);
-}
-
 FreqMHz RealtimeSimPlatform::core_frequency() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return platform_.core_frequency();
@@ -89,20 +79,6 @@ FreqMHz RealtimeSimPlatform::uncore_frequency() const {
   return platform_.uncore_frequency();
 }
 
-hal::SensorTotals RealtimeSimPlatform::read_sensors() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return platform_.read_sensors();
-}
-
-hal::SensorSample RealtimeSimPlatform::read_sample() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return platform_.read_sample();
-}
-
-// The error-aware virtuals must forward under the same mutex as the
-// legacy forms — the adapting defaults in PlatformInterface would call
-// this class's own locked set_*/read_* and stay correct, but forwarding
-// the outcome forms directly preserves the inner platform's outcomes.
 hal::IoOutcome RealtimeSimPlatform::apply_core_frequency(FreqMHz f) {
   std::lock_guard<std::mutex> lock(mutex_);
   return platform_.apply_core_frequency(f);

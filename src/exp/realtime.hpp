@@ -51,12 +51,8 @@ class RealtimeSimPlatform final : public hal::PlatformInterface {
   }
   const FreqLadder& core_ladder() const override;
   const FreqLadder& uncore_ladder() const override;
-  void set_core_frequency(FreqMHz f) override;
-  void set_uncore_frequency(FreqMHz f) override;
   FreqMHz core_frequency() const override;
   FreqMHz uncore_frequency() const override;
-  hal::SensorTotals read_sensors() override;
-  hal::SensorSample read_sample() override;
   hal::IoOutcome apply_core_frequency(FreqMHz f) override;
   hal::IoOutcome apply_uncore_frequency(FreqMHz f) override;
   hal::SampleOutcome sample_sensors() override;

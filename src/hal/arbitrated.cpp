@@ -63,14 +63,6 @@ FreqMHz ArbitratedPlatform::clamp_core(FreqMHz f) const {
   return capped < f ? capped : f;
 }
 
-void ArbitratedPlatform::set_core_frequency(FreqMHz f) {
-  (void)apply_core_frequency(f);
-}
-
-void ArbitratedPlatform::set_uncore_frequency(FreqMHz f) {
-  inner_->set_uncore_frequency(f);
-}
-
 IoOutcome ArbitratedPlatform::apply_core_frequency(FreqMHz f) {
   requested_cf_ = f;
   have_requested_cf_ = true;
@@ -93,16 +85,6 @@ FreqMHz ArbitratedPlatform::core_frequency() const {
 
 FreqMHz ArbitratedPlatform::uncore_frequency() const {
   return inner_->uncore_frequency();
-}
-
-SensorTotals ArbitratedPlatform::read_sensors() {
-  return inner_->read_sensors();
-}
-
-SensorSample ArbitratedPlatform::read_sample() {
-  SensorSample sample = inner_->read_sample();
-  publish_demand(sample);
-  return sample;
 }
 
 SampleOutcome ArbitratedPlatform::sample_sensors() {
@@ -178,7 +160,9 @@ void ArbitratedPlatform::publish_demand(const SensorSample& sample) {
   // would leave a shrunken share violated (or a grown share wasted).
   if (have_requested_cf_) {
     const FreqMHz want = clamp_core(requested_cf_);
-    if (want != inner_->core_frequency()) inner_->set_core_frequency(want);
+    if (want != inner_->core_frequency()) {
+      (void)inner_->apply_core_frequency(want);
+    }
   }
 }
 

@@ -54,12 +54,8 @@ class ArbitratedPlatform final : public PlatformInterface {
 
   const FreqLadder& core_ladder() const override;
   const FreqLadder& uncore_ladder() const override;
-  void set_core_frequency(FreqMHz f) override;
-  void set_uncore_frequency(FreqMHz f) override;
   FreqMHz core_frequency() const override;
   FreqMHz uncore_frequency() const override;
-  SensorTotals read_sensors() override;
-  SensorSample read_sample() override;
   IoOutcome apply_core_frequency(FreqMHz f) override;
   IoOutcome apply_uncore_frequency(FreqMHz f) override;
   SampleOutcome sample_sensors() override;

@@ -56,14 +56,6 @@ const FreqLadder& ComposedPlatform::uncore_ladder() const {
   return uncore_ ? uncore_->ladder() : fallback_uncore_;
 }
 
-void ComposedPlatform::set_core_frequency(FreqMHz f) {
-  (void)apply_core_frequency(f);
-}
-
-void ComposedPlatform::set_uncore_frequency(FreqMHz f) {
-  (void)apply_uncore_frequency(f);
-}
-
 IoOutcome ComposedPlatform::apply_core_frequency(FreqMHz f) {
   // A missing part is a deliberate no-op, not a failure: the capability
   // bit is already absent, so callers never mistake it for ill health.
@@ -87,14 +79,6 @@ FreqMHz ComposedPlatform::uncore_frequency() const {
   return uncore_ ? uncore_->current() : fallback_uncore_.max();
 }
 
-SensorTotals ComposedPlatform::read_sensors() {
-  return sensors_ ? sensors_->read() : SensorTotals{};
-}
-
-SensorSample ComposedPlatform::read_sample() {
-  return sensors_ ? sensors_->read_sample() : SensorSample{};
-}
-
 std::unique_ptr<ComposedPlatform> make_null_platform() {
   return std::make_unique<ComposedPlatform>(nullptr, nullptr, nullptr,
                                             haswell_core_ladder(),
@@ -115,14 +99,6 @@ const FreqLadder& CapabilityFilter::core_ladder() const {
 
 const FreqLadder& CapabilityFilter::uncore_ladder() const {
   return inner_->uncore_ladder();
-}
-
-void CapabilityFilter::set_core_frequency(FreqMHz f) {
-  if (allowed_.has(Capability::kCoreDvfs)) inner_->set_core_frequency(f);
-}
-
-void CapabilityFilter::set_uncore_frequency(FreqMHz f) {
-  if (allowed_.has(Capability::kUncoreUfs)) inner_->set_uncore_frequency(f);
 }
 
 IoOutcome CapabilityFilter::apply_core_frequency(FreqMHz f) {
@@ -158,25 +134,6 @@ FreqMHz CapabilityFilter::core_frequency() const {
 
 FreqMHz CapabilityFilter::uncore_frequency() const {
   return inner_->uncore_frequency();
-}
-
-SensorTotals CapabilityFilter::read_sensors() {
-  SensorTotals totals = inner_->read_sensors();
-  if (!allowed_.has(Capability::kEnergySensor)) totals.energy_joules = 0.0;
-  if (!allowed_.has(Capability::kInstructionSensor)) totals.instructions = 0;
-  if (!allowed_.has(Capability::kTorSensor)) totals.tor_inserts = 0;
-  return totals;
-}
-
-SensorSample CapabilityFilter::read_sample() {
-  SensorSample sample = inner_->read_sample();
-  if (!allowed_.has(Capability::kEnergySensor)) sample.energy_joules = 0.0;
-  if (!allowed_.has(Capability::kInstructionSensor)) sample.instructions = 0;
-  if (!allowed_.has(Capability::kTorSensor)) {
-    sample.tor_local = 0;
-    sample.tor_remote = 0;
-  }
-  return sample;
 }
 
 }  // namespace cuttlefish::hal

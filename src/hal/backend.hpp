@@ -9,28 +9,16 @@ namespace cuttlefish::hal {
 /// The sensor half of the hardware contract: one monotonic sample of the
 /// counters a backend can read. A stack advertises only sensor bits
 /// (kEnergySensor / kInstructionSensor / kTorSensor); absent counters
-/// stay zero in read().
+/// stay zero in sample().
 class SensorStack {
  public:
   virtual ~SensorStack() = default;
 
   virtual CapabilitySet capabilities() const = 0;
-  virtual SensorTotals read() = 0;
 
-  /// Batched one-virtual-call sample. The default wraps read() so
-  /// third-party stacks keep working; the built-in stacks override it
-  /// with one-pass reads and implement read() on top of it.
-  virtual SensorSample read_sample() {
-    return SensorSample::from_totals(read());
-  }
-
-  /// Error-aware batched sample: read_sample() plus whether the
-  /// underlying device I/O actually succeeded. The default claims
-  /// success (legacy stacks have no failure channel); the built-in
-  /// stacks override it with their real outcomes.
-  virtual SampleOutcome sample() {
-    return SampleOutcome{read_sample(), IoOutcome::success()};
-  }
+  /// One batched pass over the present counters, plus whether the
+  /// underlying device I/O succeeded.
+  virtual SampleOutcome sample() = 0;
 };
 
 /// The actuator half, one instance per frequency domain. Implementations
@@ -41,18 +29,12 @@ class FrequencyActuator {
   virtual ~FrequencyActuator() = default;
 
   virtual const FreqLadder& ladder() const = 0;
-  virtual void set(FreqMHz f) = 0;
   virtual FreqMHz current() const = 0;
 
-  /// Error-aware write: set() plus whether the device accepted it. The
-  /// default claims success for legacy actuators; the built-in actuators
-  /// override it (and implement set() on top), only advancing current()
-  /// when the write actually landed — so a failed actuation never
+  /// Write `f` and report whether the device accepted it. current()
+  /// advances only when the write landed, so a failed actuation never
   /// silently diverges the controller's view of the hardware.
-  virtual IoOutcome apply(FreqMHz f) {
-    set(f);
-    return IoOutcome::success();
-  }
+  virtual IoOutcome apply(FreqMHz f) = 0;
 };
 
 /// PlatformInterface assembled from parts, any of which may be absent.
@@ -71,20 +53,21 @@ class ComposedPlatform : public PlatformInterface {
 
   const FreqLadder& core_ladder() const override;
   const FreqLadder& uncore_ladder() const override;
-  void set_core_frequency(FreqMHz f) override;
-  void set_uncore_frequency(FreqMHz f) override;
   FreqMHz core_frequency() const override;
   FreqMHz uncore_frequency() const override;
-  SensorTotals read_sensors() override;
-  SensorSample read_sample() override;
   IoOutcome apply_core_frequency(FreqMHz f) override;
   IoOutcome apply_uncore_frequency(FreqMHz f) override;
   SampleOutcome sample_sensors() override;
 
- private:
+ protected:
+  /// Null parts are absent capabilities. A backend that must open its
+  /// devices before it can build the parts (LinuxMsrPlatform) constructs
+  /// with nulls and installs them after probing.
   std::unique_ptr<SensorStack> sensors_;
   std::unique_ptr<FrequencyActuator> core_;
   std::unique_ptr<FrequencyActuator> uncore_;
+
+ private:
   FreqLadder fallback_core_;
   FreqLadder fallback_uncore_;
 };
@@ -108,12 +91,8 @@ class CapabilityFilter final : public PlatformInterface {
 
   const FreqLadder& core_ladder() const override;
   const FreqLadder& uncore_ladder() const override;
-  void set_core_frequency(FreqMHz f) override;
-  void set_uncore_frequency(FreqMHz f) override;
   FreqMHz core_frequency() const override;
   FreqMHz uncore_frequency() const override;
-  SensorTotals read_sensors() override;
-  SensorSample read_sample() override;
   IoOutcome apply_core_frequency(FreqMHz f) override;
   IoOutcome apply_uncore_frequency(FreqMHz f) override;
   SampleOutcome sample_sensors() override;

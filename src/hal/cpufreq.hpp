@@ -84,7 +84,6 @@ class CpufreqCoreActuator final : public FrequencyActuator {
   CpufreqCoreActuator& operator=(const CpufreqCoreActuator&) = delete;
 
   const FreqLadder& ladder() const override { return ladder_; }
-  void set(FreqMHz f) override { (void)apply(f); }
   FreqMHz current() const override { return current_; }
   /// Fails (with the sysfs errno) when no CPU accepted the write;
   /// current() advances only on success.

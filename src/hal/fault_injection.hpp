@@ -101,9 +101,7 @@ struct FaultStats {
 /// Each target (sensor stack, core actuator, uncore actuator) has its
 /// own operation counter; every intercepted call first consults the
 /// schedule at the current index, then either forwards to the inner
-/// platform or manifests the fault. Wraps the *whole* contract — the
-/// legacy void/sample virtuals route through the outcome forms, so a
-/// controller predating the outcome plumbing sees the same faults.
+/// platform or manifests the fault.
 ///
 /// `inner` is borrowed and must outlive the decorator.
 class FaultInjectionPlatform final : public PlatformInterface {
@@ -123,17 +121,6 @@ class FaultInjectionPlatform final : public PlatformInterface {
   FreqMHz uncore_frequency() const override {
     return inner_->uncore_frequency();
   }
-
-  void set_core_frequency(FreqMHz f) override {
-    (void)apply_core_frequency(f);
-  }
-  void set_uncore_frequency(FreqMHz f) override {
-    (void)apply_uncore_frequency(f);
-  }
-  SensorTotals read_sensors() override {
-    return sample_sensors().sample.totals();
-  }
-  SensorSample read_sample() override { return sample_sensors().sample; }
 
   IoOutcome apply_core_frequency(FreqMHz f) override;
   IoOutcome apply_uncore_frequency(FreqMHz f) override;

@@ -142,10 +142,6 @@ SampleOutcome MsrSensorStack::sample() {
   return out;
 }
 
-SensorSample MsrSensorStack::read_sample() { return sample().sample; }
-
-SensorTotals MsrSensorStack::read() { return read_sample().totals(); }
-
 MsrCoreActuator::MsrCoreActuator(std::vector<MsrDevice*> devices,
                                  FreqLadder ladder)
     : devices_(std::move(devices)), ladder_(ladder), current_(ladder.max()) {}
@@ -186,7 +182,7 @@ bool LinuxMsrPlatform::available() {
 }
 
 LinuxMsrPlatform::LinuxMsrPlatform(FreqLadder core, FreqLadder uncore)
-    : core_ladder_(core), uncore_ladder_(uncore) {
+    : ComposedPlatform(nullptr, nullptr, nullptr, core, uncore) {
   const int cpus = online_cpu_count();
   for (int cpu = 0; cpu < cpus; ++cpu) {
     auto dev = std::make_unique<LinuxMsrDevice>(cpu);
@@ -199,8 +195,7 @@ LinuxMsrPlatform::LinuxMsrPlatform(FreqLadder core, FreqLadder uncore)
   }
   LinuxMsrDevice& pkg = *devices_[0];
   sensors_ = std::make_unique<MsrSensorStack>(pkg);
-  caps_ = sensors_->capabilities();
-  if (!caps_.has(Capability::kEnergySensor)) {
+  if (!sensors_->capabilities().has(Capability::kEnergySensor)) {
     CF_LOG_WARN("LinuxMsrPlatform: cannot read MSR_RAPL_POWER_UNIT");
     return;
   }
@@ -208,52 +203,14 @@ LinuxMsrPlatform::LinuxMsrPlatform(FreqLadder core, FreqLadder uncore)
     std::vector<MsrDevice*> all;
     all.reserve(devices_.size());
     for (auto& dev : devices_) all.push_back(dev.get());
-    core_ = std::make_unique<MsrCoreActuator>(std::move(all), core_ladder_);
-    uncore_ = std::make_unique<MsrUncoreActuator>(pkg, uncore_ladder_);
-    caps_ = caps_.with(Capability::kCoreDvfs).with(Capability::kUncoreUfs);
+    core_ = std::make_unique<MsrCoreActuator>(std::move(all), core);
+    uncore_ = std::make_unique<MsrUncoreActuator>(pkg, uncore);
   } else {
     CF_LOG_WARN(
         "LinuxMsrPlatform: MSR devices are read-only (msr-safe write "
         "allowlist?); running sensor-only");
   }
   ok_ = true;
-}
-
-void LinuxMsrPlatform::set_core_frequency(FreqMHz f) {
-  (void)apply_core_frequency(f);
-}
-
-void LinuxMsrPlatform::set_uncore_frequency(FreqMHz f) {
-  (void)apply_uncore_frequency(f);
-}
-
-IoOutcome LinuxMsrPlatform::apply_core_frequency(FreqMHz f) {
-  return core_ ? core_->apply(f) : IoOutcome::unsupported();
-}
-
-IoOutcome LinuxMsrPlatform::apply_uncore_frequency(FreqMHz f) {
-  return uncore_ ? uncore_->apply(f) : IoOutcome::unsupported();
-}
-
-SampleOutcome LinuxMsrPlatform::sample_sensors() {
-  return sensors_ ? sensors_->sample()
-                  : SampleOutcome{SensorSample{}, IoOutcome::unsupported()};
-}
-
-FreqMHz LinuxMsrPlatform::core_frequency() const {
-  return core_ ? core_->current() : core_ladder_.max();
-}
-
-FreqMHz LinuxMsrPlatform::uncore_frequency() const {
-  return uncore_ ? uncore_->current() : uncore_ladder_.max();
-}
-
-SensorTotals LinuxMsrPlatform::read_sensors() {
-  return sample_sensors().sample.totals();
-}
-
-SensorSample LinuxMsrPlatform::read_sample() {
-  return sample_sensors().sample;
 }
 
 }  // namespace cuttlefish::hal

@@ -51,8 +51,6 @@ class MsrSensorStack final : public SensorStack {
   explicit MsrSensorStack(MsrDevice& device);
 
   CapabilitySet capabilities() const override { return caps_; }
-  SensorTotals read() override;
-  SensorSample read_sample() override;
   /// One pass over the present counters, reporting failure (with errno)
   /// when any probed-present register stops responding mid-run; failed
   /// fields keep their previous value so the sample stays monotonic.
@@ -75,7 +73,6 @@ class MsrCoreActuator final : public FrequencyActuator {
   MsrCoreActuator(std::vector<MsrDevice*> devices, FreqLadder ladder);
 
   const FreqLadder& ladder() const override { return ladder_; }
-  void set(FreqMHz f) override { (void)apply(f); }
   FreqMHz current() const override { return current_; }
   /// Fails (with the first failing CPU's errno) unless every per-CPU
   /// IA32_PERF_CTL write landed; current() advances only on success.
@@ -95,7 +92,6 @@ class MsrUncoreActuator final : public FrequencyActuator {
   MsrUncoreActuator(MsrDevice& device, FreqLadder ladder);
 
   const FreqLadder& ladder() const override { return ladder_; }
-  void set(FreqMHz f) override { (void)apply(f); }
   FreqMHz current() const override { return current_; }
   IoOutcome apply(FreqMHz f) override;
 
@@ -105,11 +101,20 @@ class MsrUncoreActuator final : public FrequencyActuator {
   FreqMHz current_;
 };
 
-/// The full MSR stack: owns one LinuxMsrDevice per online CPU and
-/// composes MsrSensorStack + both actuators over them. capabilities()
-/// reflects what actually probed (read-only msr-safe hosts lose the
-/// actuator bits; hosts without CBo aggregates lose kTorSensor).
-class LinuxMsrPlatform final : public PlatformInterface {
+/// Owns LinuxMsrPlatform's per-CPU devices. A base class rather than a
+/// member, so the devices outlive the ComposedPlatform parts that borrow
+/// them (bases are destroyed in reverse declaration order).
+class LinuxMsrDevices {
+ protected:
+  std::vector<std::unique_ptr<LinuxMsrDevice>> devices_;
+};
+
+/// The full MSR stack: a ComposedPlatform of MsrSensorStack + both
+/// actuators over one owned LinuxMsrDevice per online CPU.
+/// capabilities() reflects what actually probed (read-only msr-safe hosts
+/// lose the actuator bits; hosts without CBo aggregates lose kTorSensor).
+class LinuxMsrPlatform final : private LinuxMsrDevices,
+                               public ComposedPlatform {
  public:
   LinuxMsrPlatform(FreqLadder core, FreqLadder uncore);
 
@@ -118,30 +123,7 @@ class LinuxMsrPlatform final : public PlatformInterface {
   static bool available();
   bool ok() const { return ok_; }
 
-  CapabilitySet capabilities() const override { return caps_; }
-
-  const FreqLadder& core_ladder() const override { return core_ladder_; }
-  const FreqLadder& uncore_ladder() const override { return uncore_ladder_; }
-
-  void set_core_frequency(FreqMHz f) override;
-  void set_uncore_frequency(FreqMHz f) override;
-  FreqMHz core_frequency() const override;
-  FreqMHz uncore_frequency() const override;
-
-  SensorTotals read_sensors() override;
-  hal::SensorSample read_sample() override;
-  IoOutcome apply_core_frequency(FreqMHz f) override;
-  IoOutcome apply_uncore_frequency(FreqMHz f) override;
-  SampleOutcome sample_sensors() override;
-
  private:
-  FreqLadder core_ladder_;
-  FreqLadder uncore_ladder_;
-  std::vector<std::unique_ptr<LinuxMsrDevice>> devices_;
-  std::unique_ptr<MsrSensorStack> sensors_;
-  std::unique_ptr<MsrCoreActuator> core_;
-  std::unique_ptr<MsrUncoreActuator> uncore_;
-  CapabilitySet caps_;
   bool ok_ = false;
 };
 

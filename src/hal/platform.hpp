@@ -33,9 +33,6 @@ struct SensorSample {
   SensorTotals totals() const {
     return SensorTotals{instructions, tor_inserts(), energy_joules};
   }
-  static SensorSample from_totals(const SensorTotals& t) {
-    return SensorSample{t.instructions, t.tor_inserts, 0, t.energy_joules};
-  }
 };
 
 /// Structured result of one HAL I/O operation (an actuator write or a
@@ -89,6 +86,12 @@ struct SampleOutcome {
 /// fallback. The controller never sees which one it drives — it reads
 /// capabilities() once and adapts (core-only narrowing, single-slab TIPI,
 /// or monitor-only) instead of refusing to start.
+///
+/// Its I/O is three calls: a control interval makes one sample_sensors()
+/// and one apply_*_frequency() per domain whose level changed (plus
+/// bounded retries after an error). Each reports success, unsupported or
+/// error (docs/FAULTS.md); every backend and decorator implements each
+/// call exactly once.
 class PlatformInterface {
  public:
   virtual ~PlatformInterface() = default;
@@ -101,47 +104,37 @@ class PlatformInterface {
 
   virtual const FreqLadder& core_ladder() const = 0;
   virtual const FreqLadder& uncore_ladder() const = 0;
-
-  /// Set the DVFS target of every core (the paper scales all 20 cores
-  /// together) / pin the uncore via min==max ratio limits.
-  virtual void set_core_frequency(FreqMHz f) = 0;
-  virtual void set_uncore_frequency(FreqMHz f) = 0;
   virtual FreqMHz core_frequency() const = 0;
   virtual FreqMHz uncore_frequency() const = 0;
 
-  virtual SensorTotals read_sensors() = 0;
+  /// Set the DVFS target of every core (the paper scales all 20 cores
+  /// together) / pin the uncore via min==max ratio limits.
+  virtual IoOutcome apply_core_frequency(FreqMHz f) = 0;
+  virtual IoOutcome apply_uncore_frequency(FreqMHz f) = 0;
 
   /// Batched sampling: every counter in one virtual call, the read the
-  /// controller issues once per tick. The default adapts read_sensors()
-  /// so existing third-party platforms keep working unchanged; the
-  /// built-in backends override it with one-pass reads (the simulator
-  /// skips its per-register MSR round trips, the MSR backend batches its
-  /// preads) — see docs/ARCHITECTURE.md "The co-simulation hot path".
-  virtual SensorSample read_sample() {
-    return SensorSample::from_totals(read_sensors());
-  }
+  /// controller issues once per tick (the simulator skips its
+  /// per-register MSR round trips, the MSR backend batches its preads) —
+  /// see docs/ARCHITECTURE.md "The co-simulation hot path".
+  virtual SampleOutcome sample_sensors() = 0;
 
-  // ---- error-aware contract (fault tolerance, docs/FAULTS.md) ----------
+  // ---- adapters over the contract ---------------------------------------
   //
-  // The outcome-returning forms are what the controller actually calls:
-  // one batched sensor read and one write per changed domain per tick,
-  // each reporting success/unsupported/error instead of warn-and-forget.
-  // The defaults adapt the legacy virtuals so third-party platforms keep
-  // working unchanged (their operations simply always report success);
-  // the built-in backends override these with their real outcomes and
-  // implement the void forms on top, so neither path recurses.
+  // The benchmark's forwarding decorator (TimedPlatform in
+  // cfbench/src/replay.hpp) overrides these four names and forwards them
+  // to the platform it wraps, so they remain virtual until it moves to the
+  // three calls above. Nothing else overrides or calls them; each is one
+  // contract call, so an adapter call costs and counts exactly what the
+  // contract call does.
 
-  virtual IoOutcome apply_core_frequency(FreqMHz f) {
-    set_core_frequency(f);
-    return IoOutcome::success();
+  virtual void set_core_frequency(FreqMHz f) { (void)apply_core_frequency(f); }
+  virtual void set_uncore_frequency(FreqMHz f) {
+    (void)apply_uncore_frequency(f);
   }
-  virtual IoOutcome apply_uncore_frequency(FreqMHz f) {
-    set_uncore_frequency(f);
-    return IoOutcome::success();
+  virtual SensorTotals read_sensors() {
+    return sample_sensors().sample.totals();
   }
-  virtual SampleOutcome sample_sensors() {
-    return SampleOutcome{read_sample(), IoOutcome::success()};
-  }
+  virtual SensorSample read_sample() { return sample_sensors().sample; }
 };
 
 }  // namespace cuttlefish::hal

@@ -73,8 +73,6 @@ CapabilitySet PowercapSensorStack::capabilities() const {
                      : CapabilitySet::none();
 }
 
-SensorTotals PowercapSensorStack::read() { return sample().sample.totals(); }
-
 SampleOutcome PowercapSensorStack::sample() {
   SampleOutcome out;
   for (Zone& zone : zones_) {

@@ -11,8 +11,8 @@ namespace cuttlefish::hal {
 /// Package energy over the Linux powercap framework
 /// (/sys/class/powercap/intel-rapl:<pkg>/energy_uj) — the portable RAPL
 /// path on hosts where /dev/cpu/*/msr is unavailable or root-only.
-/// energy_uj wraps at max_energy_range_uj; read() unwraps per package and
-/// sums. Instructions and TOR counters have no powercap equivalent, so
+/// energy_uj wraps at max_energy_range_uj; sample() unwraps per package
+/// and sums. Instructions and TOR counters have no powercap equivalent, so
 /// this stack only ever advertises kEnergySensor and a controller on top
 /// of it degrades accordingly.
 ///
@@ -31,12 +31,10 @@ class PowercapSensorStack final : public SensorStack {
   const std::string& root() const { return root_; }
 
   CapabilitySet capabilities() const override;
-  // read_sample() is inherited: sample() is already a single pass over
-  // the package zones, so the adapting default is the batched path.
-  SensorTotals read() override;
-  /// Reports failure (with errno) when any probed zone's energy_uj stops
-  /// responding mid-run; the per-zone accumulators are preserved so the
-  /// totals stay monotonic across the outage.
+  /// One pass over the package zones. Reports failure (with errno) when
+  /// any probed zone's energy_uj stops responding mid-run; the per-zone
+  /// accumulators are preserved so the totals stay monotonic across the
+  /// outage.
   SampleOutcome sample() override;
 
  private:

@@ -26,15 +26,17 @@ const FreqLadder& SimPlatform::uncore_ladder() const {
   return machine_->config().uncore_ladder;
 }
 
-void SimPlatform::set_core_frequency(FreqMHz f) {
+IoOutcome SimPlatform::apply_core_frequency(FreqMHz f) {
   CF_ASSERT(machine_->write(msr::kIa32PerfCtl, encode_perf_ctl(f)),
             "IA32_PERF_CTL write rejected");
+  return IoOutcome::success();
 }
 
-void SimPlatform::set_uncore_frequency(FreqMHz f) {
+IoOutcome SimPlatform::apply_uncore_frequency(FreqMHz f) {
   CF_ASSERT(
       machine_->write(msr::kUncoreRatioLimit, encode_uncore_ratio_limit(f, f)),
       "UNCORE_RATIO_LIMIT write rejected");
+  return IoOutcome::success();
 }
 
 FreqMHz SimPlatform::core_frequency() const {
@@ -59,7 +61,7 @@ double SimPlatform::unwrap_energy(uint32_t now_raw) {
   return energy_acc_j_;
 }
 
-SensorTotals SimPlatform::read_sensors() {
+SensorTotals SimPlatform::read_registers() {
   SensorTotals totals;
   uint64_t raw = 0;
   CF_ASSERT(machine_->read(msr::kPkgEnergyStatus, raw),
@@ -82,17 +84,17 @@ SensorTotals SimPlatform::read_sensors() {
   return totals;
 }
 
-SensorSample SimPlatform::read_sample() {
-  // One pass, no virtual MsrDevice hops: the registers the slow path
+SampleOutcome SimPlatform::sample_sensors() {
+  // One pass, no virtual MsrDevice hops: the registers read_registers()
   // decodes are synthesised from these same accessors, and the RAPL
   // quantisation goes through the identical rapl_energy_raw() rule, so
-  // interleaving both paths yields one consistent bit-exact stream.
-  SensorSample sample;
-  sample.energy_joules = unwrap_energy(machine_->rapl_energy_raw());
-  sample.instructions = machine_->instructions_retired();
-  sample.tor_local = machine_->tor_inserts_local();
-  sample.tor_remote = machine_->tor_inserts_remote();
-  return sample;
+  // interleaving both reads yields one consistent bit-exact stream.
+  SampleOutcome out;
+  out.sample.energy_joules = unwrap_energy(machine_->rapl_energy_raw());
+  out.sample.instructions = machine_->instructions_retired();
+  out.sample.tor_local = machine_->tor_inserts_local();
+  out.sample.tor_remote = machine_->tor_inserts_remote();
+  return out;
 }
 
 }  // namespace cuttlefish::sim

@@ -153,14 +153,14 @@ TEST(ArbitratedPlatformTest, ClampsWritesToGrantAndReportsRequested) {
   hal::ArbitratedPlatform ap(rig.platform, arb, 0.02);
   const FreqLadder& ladder = rig.platform.core_ladder();
   const FreqMHz max = ladder.at(ladder.max_level());
-  ap.set_core_frequency(max);
+  EXPECT_TRUE(ap.apply_core_frequency(max).ok());
 
   // First sample is the baseline (zero demand); the second carries a real
   // energy delta and publishes the measured draw.
   rig.machine.advance(0.02);
-  (void)ap.read_sample();
+  (void)ap.sample_sensors();
   rig.machine.advance(0.02);
-  (void)ap.read_sample();
+  (void)ap.sample_sensors();
 
   ASSERT_TRUE(ap.grant().capped);
   EXPECT_LT(ap.grant().watts, 35.0);  // ~half of 60 W
@@ -190,12 +190,12 @@ TEST(ArbitratedPlatformTest, HeadroomIsByteIdenticalPassthrough) {
   for (int tick = 0; tick < 50; ++tick) {
     const Level level = ladder.min_level() +
                         (tick % (ladder.max_level() - ladder.min_level() + 1));
-    bare.platform.set_core_frequency(ladder.at(level));
-    ap.set_core_frequency(ladder.at(level));
+    (void)bare.platform.apply_core_frequency(ladder.at(level));
+    (void)ap.apply_core_frequency(ladder.at(level));
     bare.machine.advance(0.02);
     wrapped.machine.advance(0.02);
-    const hal::SensorSample a = bare.platform.read_sample();
-    const hal::SensorSample b = ap.read_sample();
+    const hal::SensorSample a = bare.platform.sample_sensors().sample;
+    const hal::SensorSample b = ap.sample_sensors().sample;
     EXPECT_EQ(a.energy_joules, b.energy_joules) << "tick " << tick;
     EXPECT_EQ(a.instructions, b.instructions) << "tick " << tick;
   }

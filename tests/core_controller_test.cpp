@@ -22,26 +22,28 @@ class ScriptedPlatform final : public hal::PlatformInterface {
 
   const FreqLadder& core_ladder() const override { return core_; }
   const FreqLadder& uncore_ladder() const override { return uncore_; }
-  void set_core_frequency(FreqMHz f) override {
-    cf_ = f;
-    ++cf_writes;
-  }
-  void set_uncore_frequency(FreqMHz f) override {
-    uf_ = f;
-    ++uf_writes;
-  }
   FreqMHz core_frequency() const override { return cf_; }
   FreqMHz uncore_frequency() const override { return uf_; }
+  hal::IoOutcome apply_core_frequency(FreqMHz f) override {
+    cf_ = f;
+    ++cf_writes;
+    return hal::IoOutcome::success();
+  }
+  hal::IoOutcome apply_uncore_frequency(FreqMHz f) override {
+    uf_ = f;
+    ++uf_writes;
+    return hal::IoOutcome::success();
+  }
 
-  hal::SensorTotals read_sensors() override { return totals_; }
+  hal::SampleOutcome sample_sensors() override { return {sample_, {}}; }
 
   /// Advance the scripted counters by one interval at `tipi`; JPI comes
   /// from the installed model evaluated at the *current* frequencies.
   void produce_tick(double tipi) {
     const double instr = 1e9;
-    totals_.instructions += static_cast<uint64_t>(instr);
-    totals_.tor_inserts += static_cast<uint64_t>(instr * tipi);
-    totals_.energy_joules += jpi_model(core_.level_of(cf_),
+    sample_.instructions += static_cast<uint64_t>(instr);
+    sample_.tor_local += static_cast<uint64_t>(instr * tipi);
+    sample_.energy_joules += jpi_model(core_.level_of(cf_),
                                        uncore_.level_of(uf_)) *
                              instr;
   }
@@ -56,7 +58,7 @@ class ScriptedPlatform final : public hal::PlatformInterface {
   FreqLadder uncore_;
   FreqMHz cf_;
   FreqMHz uf_;
-  hal::SensorTotals totals_;
+  hal::SensorSample sample_;
 };
 
 ControllerConfig test_config(PolicyKind policy = PolicyKind::kFull) {
@@ -74,8 +76,8 @@ void run_ticks(ScriptedPlatform& p, Controller& c, double tipi, int n) {
 
 TEST(Controller, BeginPinsMaxFrequencies) {
   ScriptedPlatform p;
-  p.set_core_frequency(FreqMHz{1000});
-  p.set_uncore_frequency(FreqMHz{1000});
+  p.apply_core_frequency(FreqMHz{1000});
+  p.apply_uncore_frequency(FreqMHz{1000});
   Controller c(p, test_config());
   c.begin();
   EXPECT_EQ(p.core_frequency().value, 1600);

@@ -1,8 +1,7 @@
 // Acceptance pin for the batched-sampling rewrite: the controller issues
-// exactly ONE batched sensor read per tick (and per begin/restore
-// re-baseline) and never falls back to the legacy per-counter
-// read_sensors() path — on the simulator backend and on an MSR-stack
-// backend, where one tick costs exactly the stack's three register reads.
+// exactly ONE sample_sensors() call per tick (and per begin/restore
+// re-baseline) — on the simulator backend and on an MSR-stack backend,
+// where one tick costs exactly the stack's three register reads.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +25,7 @@ sim::PhaseProgram long_program() {
   return p;
 }
 
-/// Counts both sensor entry points while forwarding everything.
+/// Counts sensor samples while forwarding everything.
 class CountingPlatform final : public hal::PlatformInterface {
  public:
   explicit CountingPlatform(hal::PlatformInterface& inner) : inner_(&inner) {}
@@ -39,26 +38,21 @@ class CountingPlatform final : public hal::PlatformInterface {
   const FreqLadder& uncore_ladder() const override {
     return inner_->uncore_ladder();
   }
-  void set_core_frequency(FreqMHz f) override {
-    inner_->set_core_frequency(f);
-  }
-  void set_uncore_frequency(FreqMHz f) override {
-    inner_->set_uncore_frequency(f);
-  }
   FreqMHz core_frequency() const override { return inner_->core_frequency(); }
   FreqMHz uncore_frequency() const override {
     return inner_->uncore_frequency();
   }
-  hal::SensorTotals read_sensors() override {
-    ++sensors_calls;
-    return inner_->read_sensors();
+  hal::IoOutcome apply_core_frequency(FreqMHz f) override {
+    return inner_->apply_core_frequency(f);
   }
-  hal::SensorSample read_sample() override {
+  hal::IoOutcome apply_uncore_frequency(FreqMHz f) override {
+    return inner_->apply_uncore_frequency(f);
+  }
+  hal::SampleOutcome sample_sensors() override {
     ++sample_calls;
-    return inner_->read_sample();
+    return inner_->sample_sensors();
   }
 
-  int sensors_calls = 0;
   int sample_calls = 0;
 
  private:
@@ -83,14 +77,11 @@ TEST(SampleBatching, SimBackendOneBatchedReadPerTick) {
     EXPECT_EQ(counting.sample_calls, before + 1);
   }
   EXPECT_EQ(counting.sample_calls, 1 + ticks);
-  // The legacy scattered path is never taken.
-  EXPECT_EQ(counting.sensors_calls, 0);
   EXPECT_GT(controller.stats().samples_recorded, 0u);
 
   // Re-baselining paths are batched too.
   controller.reset_exploration();
   EXPECT_EQ(counting.sample_calls, 2 + ticks);
-  EXPECT_EQ(counting.sensors_calls, 0);
 }
 
 /// Counting MsrDevice over the sim register map: stands in for a real
@@ -136,7 +127,6 @@ TEST(SampleBatching, MsrBackendThreeRegisterReadsPerTick) {
     EXPECT_EQ(device.reads, before + 3);
   }
   EXPECT_EQ(counting.sample_calls, 1 + ticks);  // begin() baseline + ticks
-  EXPECT_EQ(counting.sensors_calls, 0);
   EXPECT_EQ(device.reads, 3 * ticks);
 }
 

@@ -77,17 +77,23 @@ class TracePlatform final : public hal::PlatformInterface {
 
   const FreqLadder& core_ladder() const override { return core_; }
   const FreqLadder& uncore_ladder() const override { return uncore_; }
-  void set_core_frequency(FreqMHz f) override { cf_ = f; }
-  void set_uncore_frequency(FreqMHz f) override { uf_ = f; }
   FreqMHz core_frequency() const override { return cf_; }
   FreqMHz uncore_frequency() const override { return uf_; }
-  hal::SensorTotals read_sensors() override { return totals_; }
+  hal::IoOutcome apply_core_frequency(FreqMHz f) override {
+    cf_ = f;
+    return hal::IoOutcome::success();
+  }
+  hal::IoOutcome apply_uncore_frequency(FreqMHz f) override {
+    uf_ = f;
+    return hal::IoOutcome::success();
+  }
+  hal::SampleOutcome sample_sensors() override { return {sample_, {}}; }
 
   void produce_tick(double tipi) {
     const double instr = 1e9;
-    totals_.instructions += static_cast<uint64_t>(instr);
-    totals_.tor_inserts += static_cast<uint64_t>(instr * tipi);
-    totals_.energy_joules +=
+    sample_.instructions += static_cast<uint64_t>(instr);
+    sample_.tor_local += static_cast<uint64_t>(instr * tipi);
+    sample_.energy_joules +=
         (3.0 - 0.2 * core_.level_of(cf_) + 0.2 * uncore_.level_of(uf_)) *
         instr * 1e-9;
   }
@@ -97,7 +103,7 @@ class TracePlatform final : public hal::PlatformInterface {
   FreqLadder uncore_;
   FreqMHz cf_;
   FreqMHz uf_;
-  hal::SensorTotals totals_;
+  hal::SensorSample sample_;
 };
 
 TEST(DecisionTrace, ControllerEmitsLifecycleEvents) {

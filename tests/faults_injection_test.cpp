@@ -133,7 +133,7 @@ TEST(FaultInjection, OutlierScalesTorAndWrapRegressesEnergy) {
   schedule.add({FaultKind::kSensorWrap, 1, 1, 50});
   hal::FaultInjectionPlatform faulty(rig.platform, schedule);
 
-  const hal::SensorSample clean = rig.platform.read_sample();
+  const hal::SensorSample clean = rig.platform.sample_sensors().sample;
   const hal::SampleOutcome outlier = faulty.sample_sensors();  // op 0
   EXPECT_TRUE(outlier.io.ok());
   EXPECT_EQ(outlier.sample.tor_local, clean.tor_local * 10);

@@ -47,18 +47,16 @@ class EventuallyThrowingPlatform final : public hal::PlatformInterface {
   const FreqLadder& uncore_ladder() const override {
     return inner_->uncore_ladder();
   }
-  void set_core_frequency(FreqMHz f) override {
-    inner_->set_core_frequency(f);
-  }
-  void set_uncore_frequency(FreqMHz f) override {
-    inner_->set_uncore_frequency(f);
-  }
   FreqMHz core_frequency() const override { return inner_->core_frequency(); }
   FreqMHz uncore_frequency() const override {
     return inner_->uncore_frequency();
   }
-  hal::SensorTotals read_sensors() override { return inner_->read_sensors(); }
-  hal::SensorSample read_sample() override { return sample_sensors().sample; }
+  hal::IoOutcome apply_core_frequency(FreqMHz f) override {
+    return inner_->apply_core_frequency(f);
+  }
+  hal::IoOutcome apply_uncore_frequency(FreqMHz f) override {
+    return inner_->apply_uncore_frequency(f);
+  }
   hal::SampleOutcome sample_sensors() override {
     if (healthy_left_ <= 0) throw std::runtime_error("sensor bus hang");
     --healthy_left_;

@@ -118,7 +118,7 @@ TEST(Cpufreq, CoreActuatorSavesAndRestoresGovernors) {
     CpufreqCoreActuator actuator(std::move(raw), ladder);
     // Construction switched to userspace so setspeed writes take effect.
     EXPECT_EQ(sysfs.read(0, "scaling_governor"), "userspace");
-    actuator.set(FreqMHz{1500});
+    EXPECT_TRUE(actuator.apply(FreqMHz{1500}).ok());
     EXPECT_EQ(sysfs.read(1, "scaling_setspeed"), "1500000");
     EXPECT_EQ(actuator.current().value, 1500);
   }

@@ -22,8 +22,8 @@ TEST(SimPlatformHal, FrequencyWritesGoThroughRegisters) {
   sim::SimMachine machine(cfg, program);
   sim::SimPlatform platform(machine);
 
-  platform.set_core_frequency(FreqMHz{1500});
-  platform.set_uncore_frequency(FreqMHz{2200});
+  EXPECT_TRUE(platform.apply_core_frequency(FreqMHz{1500}).ok());
+  EXPECT_TRUE(platform.apply_uncore_frequency(FreqMHz{2200}).ok());
   EXPECT_EQ(machine.core_frequency().value, 1500);
   EXPECT_EQ(machine.uncore_frequency().value, 2200);
   EXPECT_EQ(platform.core_frequency().value, 1500);
@@ -36,12 +36,12 @@ TEST(SimPlatformHal, SensorTotalsAreMonotonic) {
   sim::SimMachine machine(cfg, program);
   sim::SimPlatform platform(machine);
 
-  hal::SensorTotals prev = platform.read_sensors();
+  hal::SensorSample prev = platform.sample_sensors().sample;
   for (int i = 0; i < 50; ++i) {
     machine.advance(0.02);
-    const hal::SensorTotals now = platform.read_sensors();
+    const hal::SensorSample now = platform.sample_sensors().sample;
     EXPECT_GE(now.instructions, prev.instructions);
-    EXPECT_GE(now.tor_inserts, prev.tor_inserts);
+    EXPECT_GE(now.tor_inserts(), prev.tor_inserts());
     EXPECT_GE(now.energy_joules, prev.energy_joules);
     prev = now;
   }
@@ -54,9 +54,10 @@ TEST(SimPlatformHal, EnergyMatchesMachineWithinQuantisation) {
   sim::SimPlatform platform(machine);
 
   machine.advance(5.0);
-  const hal::SensorTotals totals = platform.read_sensors();
+  const hal::SampleOutcome out = platform.sample_sensors();
+  EXPECT_TRUE(out.io.ok());
   // RAPL quantisation error is bounded by one energy unit.
-  EXPECT_NEAR(totals.energy_joules, machine.energy_joules(),
+  EXPECT_NEAR(out.sample.energy_joules, machine.energy_joules(),
               1.0 / 16384.0 + 1e-9);
 }
 
@@ -66,15 +67,24 @@ TEST(SimPlatformHal, EnergyUnwrapsAcrossRaplWrap) {
   sim::PhaseProgram program;
   program.add(5e15, 1.0, 0.0);  // enough work for > 2^32 energy units
   sim::SimMachine machine(cfg, program);
+  sim::SimMachine twin(cfg, program);
   sim::SimPlatform platform(machine);
+  sim::SimPlatform fast_only(twin);
 
   // 2^32 units at 1/2^14 J = 262144 J; at ~150 W that's ~1750 s. Advance
   // well past one wrap in coarse steps, reading in between as the daemon
-  // would.
+  // would — alternately through the fast path and the register map. The
+  // two reads share one unwrap state, so the interleaved stream must equal
+  // a twin machine's fast-path-only stream bit for bit.
   double last = 0.0;
   for (int i = 0; i < 400; ++i) {
     machine.advance(10.0);
-    const double now = platform.read_sensors().energy_joules;
+    twin.advance(10.0);
+    const double now = i % 2 == 0
+                           ? platform.sample_sensors().sample.energy_joules
+                           : platform.read_registers().energy_joules;
+    EXPECT_EQ(now, fast_only.sample_sensors().sample.energy_joules)
+        << "read " << i;
     EXPECT_GE(now, last);
     last = now;
   }
@@ -99,8 +109,9 @@ TEST(LinuxMsrPlatform, ConstructsInDegradedModeWithoutDevices) {
                                  haswell_uncore_ladder());
   EXPECT_FALSE(platform.ok());
   EXPECT_TRUE(platform.capabilities().empty());
-  const hal::SensorTotals totals = platform.read_sensors();
-  EXPECT_EQ(totals.instructions, 0u);
+  const hal::SampleOutcome out = platform.sample_sensors();
+  EXPECT_EQ(out.io.status, hal::IoOutcome::Status::kUnsupported);
+  EXPECT_EQ(out.sample.instructions, 0u);
   unsetenv("CUTTLEFISH_MSR_ROOT");
 }
 

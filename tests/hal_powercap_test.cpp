@@ -72,9 +72,11 @@ TEST(Powercap, MissingTreeMeansUnavailable) {
   PowercapSensorStack stack("/nonexistent/path/for/test");
   EXPECT_FALSE(stack.available());
   EXPECT_TRUE(stack.capabilities().empty());
-  const SensorTotals totals = stack.read();
-  EXPECT_EQ(totals.energy_joules, 0.0);
-  EXPECT_EQ(totals.instructions, 0u);
+  const SampleOutcome out = stack.sample();
+  EXPECT_TRUE(out.io.ok());
+  EXPECT_EQ(out.sample.energy_joules, 0.0);
+  EXPECT_EQ(out.sample.instructions, 0u);
+  EXPECT_EQ(out.sample.tor_inserts(), 0u);
 }
 
 TEST(Powercap, AccumulatesEnergyAcrossPackages) {
@@ -82,12 +84,12 @@ TEST(Powercap, AccumulatesEnergyAcrossPackages) {
   sysfs.add_package(0, 1'000'000, 262'143'328'850);  // 1 J
   sysfs.add_package(1, 2'000'000, 262'143'328'850);  // 2 J
   PowercapSensorStack stack(sysfs.root());
-  EXPECT_EQ(stack.read().energy_joules, 0.0);  // baseline at construction
+  EXPECT_EQ(stack.sample().sample.energy_joules, 0.0);  // construction baseline
   sysfs.set_energy(0, 1'500'000);  // +0.5 J
   sysfs.set_energy(1, 2'250'000);  // +0.25 J
-  EXPECT_NEAR(stack.read().energy_joules, 0.75, 1e-9);
+  EXPECT_NEAR(stack.sample().sample.energy_joules, 0.75, 1e-9);
   // Totals are monotonic accumulations, not instantaneous readings.
-  EXPECT_NEAR(stack.read().energy_joules, 0.75, 1e-9);
+  EXPECT_NEAR(stack.sample().sample.energy_joules, 0.75, 1e-9);
 }
 
 TEST(Powercap, UnwrapsAtMaxEnergyRange) {
@@ -96,7 +98,7 @@ TEST(Powercap, UnwrapsAtMaxEnergyRange) {
   sysfs.add_package(0, 9'900'000, max_range);
   PowercapSensorStack stack(sysfs.root());
   sysfs.set_energy(0, 100'000);  // wrapped: 9.9 -> 10.0(+1uJ) -> 0.1
-  const double joules = stack.read().energy_joules;
+  const double joules = stack.sample().sample.energy_joules;
   EXPECT_NEAR(joules, 0.2, 1e-5);
   EXPECT_GT(joules, 0.0);  // never negative or huge on wrap
 }

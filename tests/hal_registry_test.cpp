@@ -135,9 +135,10 @@ TEST(Registry, PowercapBackendAssemblesFromFakeTrees) {
   EXPECT_EQ(platform.core_ladder().min().value, 1200);
   EXPECT_EQ(platform.core_ladder().max().value, 2300);
   // Actuation lands in sysfs (kHz), uncore writes are dropped.
-  platform.set_core_frequency(FreqMHz{1800});
+  EXPECT_TRUE(platform.apply_core_frequency(FreqMHz{1800}).ok());
   EXPECT_EQ(host.read_cpu_file(1, "scaling_setspeed"), "1800000");
-  platform.set_uncore_frequency(FreqMHz{2000});
+  EXPECT_EQ(platform.apply_uncore_frequency(FreqMHz{2000}).status,
+            IoOutcome::Status::kUnsupported);
   EXPECT_EQ(platform.uncore_frequency(),
             platform.uncore_ladder().max());
 }
@@ -145,13 +146,16 @@ TEST(Registry, PowercapBackendAssemblesFromFakeTrees) {
 TEST(ComposedPlatform, MissingPartsClearCapabilitiesAndNoop) {
   auto platform = make_null_platform();
   EXPECT_TRUE(platform->capabilities().empty());
-  EXPECT_NO_THROW(platform->set_core_frequency(FreqMHz{1500}));
-  EXPECT_NO_THROW(platform->set_uncore_frequency(FreqMHz{1500}));
+  EXPECT_EQ(platform->apply_core_frequency(FreqMHz{1500}).status,
+            IoOutcome::Status::kUnsupported);
+  EXPECT_EQ(platform->apply_uncore_frequency(FreqMHz{1500}).status,
+            IoOutcome::Status::kUnsupported);
   EXPECT_EQ(platform->core_frequency(), platform->core_ladder().max());
-  const SensorTotals totals = platform->read_sensors();
-  EXPECT_EQ(totals.instructions, 0u);
-  EXPECT_EQ(totals.tor_inserts, 0u);
-  EXPECT_EQ(totals.energy_joules, 0.0);
+  const SampleOutcome out = platform->sample_sensors();
+  EXPECT_EQ(out.io.status, IoOutcome::Status::kUnsupported);
+  EXPECT_EQ(out.sample.instructions, 0u);
+  EXPECT_EQ(out.sample.tor_inserts(), 0u);
+  EXPECT_EQ(out.sample.energy_joules, 0.0);
 }
 
 TEST(CapabilityFilter, MasksSensorsAndDropsWrites) {
@@ -170,16 +174,17 @@ TEST(CapabilityFilter, MasksSensorsAndDropsWrites) {
   EXPECT_FALSE(filter.capabilities().has(Capability::kTorSensor));
 
   const FreqMHz uncore_before = machine.uncore_frequency();
-  filter.set_uncore_frequency(FreqMHz{1200});
+  EXPECT_EQ(filter.apply_uncore_frequency(FreqMHz{1200}).status,
+            IoOutcome::Status::kUnsupported);
   EXPECT_EQ(machine.uncore_frequency(), uncore_before);  // dropped
-  filter.set_core_frequency(FreqMHz{1500});
+  EXPECT_TRUE(filter.apply_core_frequency(FreqMHz{1500}).ok());
   EXPECT_EQ(machine.core_frequency().value, 1500);  // forwarded
 
   machine.advance(1.0);
-  const SensorTotals totals = filter.read_sensors();
-  EXPECT_GT(totals.instructions, 0u);
-  EXPECT_GT(totals.energy_joules, 0.0);
-  EXPECT_EQ(totals.tor_inserts, 0u);  // masked to zero
+  const SensorSample sample = filter.sample_sensors().sample;
+  EXPECT_GT(sample.instructions, 0u);
+  EXPECT_GT(sample.energy_joules, 0.0);
+  EXPECT_EQ(sample.tor_inserts(), 0u);  // masked to zero
 }
 
 TEST(CapabilitySet, StringFormsAreStable) {

@@ -1,16 +1,18 @@
-// The batched-sampling contract: read_sample() — the one-virtual-call
-// fast path — must report exactly what the legacy per-counter
-// read_sensors()/read() path reports, on full stacks and on every
-// CapabilityFilter-degraded subset, whether a backend overrides the fast
-// path (sim, MSR, powercap) or inherits the adapting default.
+// The batched-sampling contract: sample_sensors() — the one-virtual-call
+// fast path — must report exactly what the simulator's per-register
+// reference read reports, CapabilityFilter must zero exactly the fields
+// it masks, and the MSR stack must sample in one pass. The four
+// PlatformInterface adapters (read_sample, read_sensors,
+// set_core_frequency, set_uncore_frequency) must each be one contract
+// call in disguise.
 
 #include <gtest/gtest.h>
 
 #include "hal/backend.hpp"
+#include "hal/fault_injection.hpp"
 #include "hal/linux_msr.hpp"
 #include "hal/msr.hpp"
 #include "hal/platform.hpp"
-#include "hal/powercap.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/phase_workload.hpp"
 #include "sim/sim_machine.hpp"
@@ -25,37 +27,6 @@ sim::PhaseProgram long_program() {
   p.add(1e13, 1.2, 0.20);
   return p;
 }
-
-/// Forwards read_sensors() but deliberately does NOT override
-/// read_sample(): exercises the PlatformInterface default adapter a
-/// third-party backend would inherit.
-class NoOverridePlatform final : public PlatformInterface {
- public:
-  explicit NoOverridePlatform(PlatformInterface& inner) : inner_(&inner) {}
-  CapabilitySet capabilities() const override {
-    return inner_->capabilities();
-  }
-  const FreqLadder& core_ladder() const override {
-    return inner_->core_ladder();
-  }
-  const FreqLadder& uncore_ladder() const override {
-    return inner_->uncore_ladder();
-  }
-  void set_core_frequency(FreqMHz f) override {
-    inner_->set_core_frequency(f);
-  }
-  void set_uncore_frequency(FreqMHz f) override {
-    inner_->set_uncore_frequency(f);
-  }
-  FreqMHz core_frequency() const override { return inner_->core_frequency(); }
-  FreqMHz uncore_frequency() const override {
-    return inner_->uncore_frequency();
-  }
-  SensorTotals read_sensors() override { return inner_->read_sensors(); }
-
- private:
-  PlatformInterface* inner_;
-};
 
 void expect_equal_totals(const SensorSample& sample,
                          const SensorTotals& totals) {
@@ -74,39 +45,15 @@ TEST(SensorSampleHal, SimOverrideMatchesRegisterPathExactly) {
     machine.advance(0.02);
     // Back-to-back fast-path and register-path reads see the same raw
     // counter, so the shared unwrap state must make them bit-equal.
-    const SensorSample sample = platform.read_sample();
-    const SensorTotals totals = platform.read_sensors();
+    const SensorSample sample = platform.sample_sensors().sample;
+    const SensorTotals totals = platform.read_registers();
     expect_equal_totals(sample, totals);
     // The sim splits TOR by NUMA umask; the split must conserve the sum.
     EXPECT_EQ(sample.tor_local + sample.tor_remote, totals.tor_inserts);
   }
 }
 
-TEST(SensorSampleHal, DefaultAdapterMatchesOverride) {
-  const sim::MachineConfig cfg = sim::haswell_2650v3();
-  const sim::PhaseProgram pa = long_program();
-  const sim::PhaseProgram pb = long_program();
-  sim::SimMachine ma(cfg, pa, 42);
-  sim::SimMachine mb(cfg, pb, 42);
-  sim::SimPlatform overriding(ma);
-  sim::SimPlatform inner(mb);
-  NoOverridePlatform defaulted(inner);
-
-  for (int i = 0; i < 50; ++i) {
-    ma.advance(0.02);
-    mb.advance(0.02);
-    const SensorSample fast = overriding.read_sample();
-    const SensorSample adapted = defaulted.read_sample();
-    EXPECT_EQ(fast.instructions, adapted.instructions);
-    EXPECT_EQ(fast.tor_inserts(), adapted.tor_inserts());
-    EXPECT_EQ(fast.energy_joules, adapted.energy_joules);
-    // The adapter has no split information: everything lands in
-    // tor_local by contract.
-    EXPECT_EQ(adapted.tor_remote, 0u);
-  }
-}
-
-TEST(SensorSampleHal, CapabilityFilterMasksSampleAndTotalsAlike) {
+TEST(SensorSampleHal, CapabilityFilterMasksExactlyTheFilteredFields) {
   const sim::MachineConfig cfg = sim::haswell_2650v3();
   const CapabilitySet subsets[] = {
       CapabilitySet::all(),
@@ -117,34 +64,27 @@ TEST(SensorSampleHal, CapabilityFilterMasksSampleAndTotalsAlike) {
       CapabilitySet::none(),
   };
   for (const CapabilitySet& allowed : subsets) {
-    const sim::PhaseProgram pa = long_program();
-    const sim::PhaseProgram pb = long_program();
-    sim::SimMachine ma(cfg, pa, 7);
-    sim::SimMachine mb(cfg, pb, 7);
+    const sim::PhaseProgram program = long_program();
+    sim::SimMachine ma(cfg, program, 7);
+    sim::SimMachine mb(cfg, program, 7);
     sim::SimPlatform platform_a(ma);
-    sim::SimPlatform platform_b(mb);
-    CapabilityFilter fast(platform_a, allowed);
-    NoOverridePlatform no_override(platform_b);
-    CapabilityFilter adapted(no_override, allowed);
+    sim::SimPlatform bare(mb);
+    CapabilityFilter filtered(platform_a, allowed);
 
     for (int i = 0; i < 20; ++i) {
       ma.advance(0.02);
       mb.advance(0.02);
-      const SensorSample a = fast.read_sample();
-      const SensorSample b = adapted.read_sample();
-      EXPECT_EQ(a.instructions, b.instructions);
-      EXPECT_EQ(a.tor_inserts(), b.tor_inserts());
-      EXPECT_EQ(a.energy_joules, b.energy_joules);
-      if (!allowed.has(Capability::kEnergySensor)) {
-        EXPECT_EQ(a.energy_joules, 0.0);
-      }
-      if (!allowed.has(Capability::kInstructionSensor)) {
-        EXPECT_EQ(a.instructions, 0u);
-      }
-      if (!allowed.has(Capability::kTorSensor)) {
-        EXPECT_EQ(a.tor_local, 0u);
-        EXPECT_EQ(a.tor_remote, 0u);
-      }
+      const SensorSample a = filtered.sample_sensors().sample;
+      const SensorSample b = bare.sample_sensors().sample;
+      EXPECT_EQ(a.energy_joules,
+                allowed.has(Capability::kEnergySensor) ? b.energy_joules
+                                                       : 0.0);
+      EXPECT_EQ(a.instructions, allowed.has(Capability::kInstructionSensor)
+                                    ? b.instructions
+                                    : 0u);
+      const bool tor = allowed.has(Capability::kTorSensor);
+      EXPECT_EQ(a.tor_local, tor ? b.tor_local : 0u);
+      EXPECT_EQ(a.tor_remote, tor ? b.tor_remote : 0u);
     }
   }
 }
@@ -179,30 +119,110 @@ TEST(SensorSampleHal, MsrStackSamplesInOnePassOfThreeReads) {
 
   machine.advance(0.5);
   device.reads = 0;
-  const SensorSample sample = stack.read_sample();
+  const SampleOutcome out = stack.sample();
   EXPECT_EQ(device.reads, 3);  // energy + instructions + TOR, one pass
-  EXPECT_GT(sample.instructions, 0u);
-  EXPECT_GT(sample.tor_inserts(), 0u);
-  EXPECT_GT(sample.energy_joules, 0.0);
-
-  // The legacy read() is the same pass.
-  machine.advance(0.5);
-  device.reads = 0;
-  const SensorTotals totals = stack.read();
-  EXPECT_EQ(device.reads, 3);
-  const SensorSample again = stack.read_sample();
-  expect_equal_totals(again, totals);
+  EXPECT_TRUE(out.io.ok());
+  EXPECT_GT(out.sample.instructions, 0u);
+  EXPECT_GT(out.sample.tor_inserts(), 0u);
+  EXPECT_GT(out.sample.energy_joules, 0.0);
 }
 
-TEST(SensorSampleHal, PowercapSampleMatchesRead) {
-  // Nonexistent root: unavailable stack reads zeros through both paths.
-  PowercapSensorStack stack("/nonexistent/cuttlefish/powercap");
-  EXPECT_FALSE(stack.available());
-  const SensorSample sample = stack.read_sample();
-  EXPECT_EQ(sample.instructions, 0u);
-  EXPECT_EQ(sample.tor_inserts(), 0u);
-  EXPECT_EQ(sample.energy_joules, 0.0);
-  expect_equal_totals(stack.read_sample(), stack.read());
+// ---- the four adapters kept on PlatformInterface -----------------------
+
+TEST(PlatformAdapters, SimReadsInterleaveIntoOneBitExactStream) {
+  const sim::MachineConfig cfg = sim::haswell_2650v3();
+  const sim::PhaseProgram program = long_program();
+  sim::SimMachine ma(cfg, program, 42);
+  sim::SimMachine mb(cfg, program, 42);
+  sim::SimPlatform mixed(ma);
+  sim::SimPlatform contract_only(mb);
+
+  for (int i = 0; i < 60; ++i) {
+    ma.advance(0.02);
+    mb.advance(0.02);
+    const SensorSample want = contract_only.sample_sensors().sample;
+    switch (i % 3) {
+      case 0: {
+        const SensorSample got = mixed.read_sample();
+        EXPECT_EQ(got.instructions, want.instructions) << "read " << i;
+        EXPECT_EQ(got.tor_local, want.tor_local) << "read " << i;
+        EXPECT_EQ(got.tor_remote, want.tor_remote) << "read " << i;
+        EXPECT_EQ(got.energy_joules, want.energy_joules) << "read " << i;
+        break;
+      }
+      case 1:
+        expect_equal_totals(want, mixed.read_sensors());
+        break;
+      default:
+        expect_equal_totals(want, mixed.sample_sensors().sample.totals());
+    }
+  }
+}
+
+TEST(PlatformAdapters, SetsLandExactlyAsApply) {
+  const sim::MachineConfig cfg = sim::haswell_2650v3();
+  const sim::PhaseProgram program = long_program();
+  sim::SimMachine ma(cfg, program, 3);
+  sim::SimMachine mb(cfg, program, 3);
+  sim::SimPlatform via_set(ma);
+  sim::SimPlatform via_apply(mb);
+
+  const FreqLadder& core = cfg.core_ladder;
+  const FreqLadder& uncore = cfg.uncore_ladder;
+  for (int i = 0; i < 24; ++i) {
+    const FreqMHz cf = core.at(i % core.levels());
+    const FreqMHz uf = uncore.at(uncore.max_level() - i % uncore.levels());
+    via_set.set_core_frequency(cf);
+    via_set.set_uncore_frequency(uf);
+    EXPECT_TRUE(via_apply.apply_core_frequency(cf).ok());
+    EXPECT_TRUE(via_apply.apply_uncore_frequency(uf).ok());
+    EXPECT_EQ(ma.core_frequency(), cf);
+    EXPECT_EQ(ma.uncore_frequency(), uf);
+    EXPECT_EQ(via_set.core_frequency(), via_apply.core_frequency());
+    EXPECT_EQ(via_set.uncore_frequency(), via_apply.uncore_frequency());
+    ma.advance(0.02);
+    mb.advance(0.02);
+    // Same frequencies, same switch counts: the machines stay in lockstep.
+    EXPECT_EQ(ma.frequency_switches(), mb.frequency_switches());
+    expect_equal_totals(via_apply.sample_sensors().sample,
+                        via_set.sample_sensors().sample.totals());
+  }
+}
+
+TEST(PlatformAdapters, EachAdapterCallConsumesOneFaultScheduleOp) {
+  const sim::MachineConfig cfg = sim::haswell_2650v3();
+  const sim::PhaseProgram program = long_program();
+  sim::SimMachine machine(cfg, program);
+  sim::SimPlatform platform(machine);
+  FaultSchedule schedule;
+  schedule.add({FaultKind::kSensorError, 1, 1, 0});       // sensor op 1
+  schedule.add({FaultKind::kCoreWriteError, 0, 1, 0});    // core op 0
+  schedule.add({FaultKind::kUncoreWriteError, 1, 1, 0});  // uncore op 1
+  FaultInjectionPlatform faulty(platform, schedule);
+
+  machine.advance(0.1);
+  const SensorSample good = faulty.read_sample();  // sensor op 0
+  machine.advance(0.1);
+  // Op 1 fails: the adapter hands back the last good reading.
+  expect_equal_totals(good, faulty.read_sensors());
+  EXPECT_EQ(faulty.fault_stats().sensor_errors, 1u);
+  EXPECT_TRUE(faulty.sample_sensors().io.ok());  // sensor op 2
+  EXPECT_EQ(faulty.sensor_ops(), 3u);
+
+  const FreqMHz cf = cfg.core_ladder.min();
+  const FreqMHz uf = cfg.uncore_ladder.min();
+  faulty.set_core_frequency(cf);  // core op 0: dropped by the fault
+  EXPECT_NE(machine.core_frequency(), cf);
+  EXPECT_TRUE(faulty.apply_core_frequency(cf).ok());  // core op 1
+  EXPECT_EQ(machine.core_frequency(), cf);
+  faulty.set_uncore_frequency(uf);  // uncore op 0
+  EXPECT_EQ(machine.uncore_frequency(), uf);
+  EXPECT_TRUE(faulty.apply_uncore_frequency(cfg.uncore_ladder.max())
+                  .failed());  // uncore op 1
+  EXPECT_EQ(machine.uncore_frequency(), uf);
+  EXPECT_EQ(faulty.core_ops(), 2u);
+  EXPECT_EQ(faulty.uncore_ops(), 2u);
+  EXPECT_EQ(faulty.fault_stats().actuator_errors, 2u);
 }
 
 }  // namespace

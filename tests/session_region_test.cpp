@@ -70,8 +70,8 @@ struct ManualRun {
   void run_until_instructions(double boundary) {
     const core::ControllerConfig& cfg = session.controller()->config();
     while (!sim.workload_done() &&
-           static_cast<double>(platform.read_sensors().instructions) <
-               boundary) {
+           static_cast<double>(
+               platform.sample_sensors().sample.instructions) < boundary) {
       sim.advance(cfg.tinv_s);
       session.tick();
     }

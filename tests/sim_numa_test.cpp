@@ -70,9 +70,9 @@ TEST(Numa, PlatformTipiUsesBothUmasks) {
   SimMachine m(quiet(), p);
   SimPlatform platform(m);
   m.advance(3.0);
-  const hal::SensorTotals totals = platform.read_sensors();
-  const double tipi = static_cast<double>(totals.tor_inserts) /
-                      static_cast<double>(totals.instructions);
+  const hal::SensorSample sample = platform.sample_sensors().sample;
+  const double tipi = static_cast<double>(sample.tor_inserts()) /
+                      static_cast<double>(sample.instructions);
   EXPECT_NEAR(tipi, 0.08, 1e-6);
 }
 
