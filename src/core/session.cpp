@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <locale>
 #include <map>
 #include <mutex>
@@ -19,51 +18,13 @@
 #include "core/daemon.hpp"
 #include "core/env_config.hpp"
 #include "exp/realtime.hpp"
+#include "exp/record_file.hpp"
 #include "hal/arbitrated.hpp"
 #include "hal/registry.hpp"
 #include "sim/machine_config.hpp"
 
 namespace cuttlefish {
 namespace {
-
-/// RealtimeSimPlatform that drives its own advance thread for the
-/// platform's whole lifetime, so the registry can hand it out as an
-/// ordinary backend.
-class SelfDrivingSimPlatform final : public hal::PlatformInterface {
- public:
-  SelfDrivingSimPlatform(const sim::MachineConfig& cfg,
-                         const sim::PhaseProgram& program, double rate)
-      : inner_(cfg, program, rate) {
-    inner_.start();
-  }
-  ~SelfDrivingSimPlatform() override { inner_.stop(); }
-
-  hal::CapabilitySet capabilities() const override {
-    return inner_.capabilities();
-  }
-  const FreqLadder& core_ladder() const override {
-    return inner_.core_ladder();
-  }
-  const FreqLadder& uncore_ladder() const override {
-    return inner_.uncore_ladder();
-  }
-  FreqMHz core_frequency() const override { return inner_.core_frequency(); }
-  FreqMHz uncore_frequency() const override {
-    return inner_.uncore_frequency();
-  }
-  hal::IoOutcome apply_core_frequency(FreqMHz f) override {
-    return inner_.apply_core_frequency(f);
-  }
-  hal::IoOutcome apply_uncore_frequency(FreqMHz f) override {
-    return inner_.apply_uncore_frequency(f);
-  }
-  hal::SampleOutcome sample_sensors() override {
-    return inner_.sample_sensors();
-  }
-
- private:
-  exp::RealtimeSimPlatform inner_;
-};
 
 /// ~30 min of alternating compute-bound and memory-bound virtual phases —
 /// enough for interactive demos of the full discovery cycle.
@@ -97,8 +58,11 @@ void register_sim_backend() {
       return r;
     };
     f.create = []() -> std::unique_ptr<hal::PlatformInterface> {
-      return std::make_unique<SelfDrivingSimPlatform>(
+      // Runs for the platform's lifetime; the destructor stops it.
+      auto platform = std::make_unique<exp::RealtimeSimPlatform>(
           sim::haswell_2650v3(), demo_program(), /*rate=*/1.0);
+      platform->start();
+      return platform;
     };
     hal::BackendRegistry::instance().add(std::move(f));
   });
@@ -837,28 +801,18 @@ bool Session::save_profiles(const std::string& path) const {
     }
     os << "\n]}\n";
   }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    CF_LOG_WARN("session: cannot write profiles to '%s'", path.c_str());
-    return false;
-  }
-  out << os.str();
-  // Flush before reporting success: a buffered write to a full disk
-  // only fails at flush/close, and the destructor would discard it.
-  out.flush();
-  return out.good();
+  // Replaced atomically (failures are logged there): a failed save keeps
+  // the previous file loadable.
+  return exp::write_file_atomic(path, os.str());
 }
 
 bool Session::load_profiles(const std::string& path) {
   if (impl_ == nullptr) return false;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::string text;
+  if (!exp::read_file(path, &text)) {
     CF_LOG_WARN("session: cannot read profiles from '%s'", path.c_str());
     return false;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
   JsonValue root;
   if (!JsonParser(text).parse(root) ||
       root.kind != JsonValue::Kind::kObject) {

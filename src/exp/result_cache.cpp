@@ -1,7 +1,5 @@
 #include "exp/result_cache.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -10,6 +8,7 @@
 #include "common/assert.hpp"
 #include "common/log.hpp"
 #include "exp/blob.hpp"
+#include "exp/record_file.hpp"
 
 namespace fs = std::filesystem;
 
@@ -25,50 +24,10 @@ constexpr uint32_t kRecordMagic = 0x43465243u;  // "CFRC"
 constexpr uint32_t kTableMagic = 0x43465442u;  // "CFTB"
 constexpr uint32_t kTableFormatVersion = 1;
 
-/// Fixed part of a record after its magic: digest (16) + two lengths.
+/// Record frames: a head of digest (16) + spec and result lengths, then
+/// the spec and result payloads.
 constexpr size_t kRecordHeader = 16 + 4 + 4;
-
-uint64_t checksum64(const void* data, size_t size) {
-  return digest_bytes(data, size).lo;
-}
-
-bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) return false;
-  *out = std::move(data);
-  return true;
-}
-
-/// Write-temp-then-rename: the destination either keeps its old content
-/// or atomically gains the complete new one — never a torn prefix.
-bool write_file_atomic(const std::string& path, const std::string& body) {
-  const std::string tmp =
-      path + ".tmp-" + std::to_string(static_cast<long>(::getpid()));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      CF_LOG_ERROR("result cache: cannot open %s for writing", tmp.c_str());
-      return false;
-    }
-    out.write(body.data(), static_cast<std::streamsize>(body.size()));
-    if (!out.good()) {
-      CF_LOG_ERROR("result cache: short write to %s", tmp.c_str());
-      return false;
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    CF_LOG_ERROR("result cache: rename %s -> %s failed: %s", tmp.c_str(),
-                 path.c_str(), ec.message().c_str());
-    fs::remove(tmp, ec);
-    return false;
-  }
-  return true;
-}
+constexpr FrameLayout kRecordLayout{kRecordMagic, kRecordHeader, 2};
 
 }  // namespace
 
@@ -201,47 +160,32 @@ void ResultCache::scan_shard(const std::string& path) {
   const size_t shard_index = shard_paths_.size();
   shard_paths_.push_back(path);
 
-  size_t pos = 8;  // past the header
-  while (pos < data.size()) {
-    // Validate the whole record before registering anything: magic,
-    // in-bounds lengths, then the checksum over digest + lengths +
-    // payloads. Any failure means the tail of this shard (a torn append,
-    // bit rot) is untrustworthy — stop and let those cells re-simulate.
-    uint32_t magic = 0;
-    if (pos + 4 + kRecordHeader > data.size()) break;
-    std::memcpy(&magic, data.data() + pos, 4);
-    if (magic != kRecordMagic) break;
-    BlobReader rec(data.data() + pos + 4, kRecordHeader);
+  // Past the 8-byte header the shard is a stream of frames. The scan
+  // stops at the first bad one: the tail after a torn append or bit rot is
+  // untrustworthy, so those cells re-simulate.
+  const size_t end = scan_frames(data, 8, kRecordLayout,
+                                 [&](std::string_view body) {
+    BlobReader rec(body.data(), kRecordHeader);
     Entry entry;
     entry.digest.hi = rec.u64();
     entry.digest.lo = rec.u64();
     entry.spec_len = rec.u32();
     entry.result_len = rec.u32();
-    const uint64_t body_len = kRecordHeader +
-                              static_cast<uint64_t>(entry.spec_len) +
-                              entry.result_len;
-    if (pos + 4 + body_len + 8 > data.size()) break;
-    uint64_t stored_checksum = 0;
-    std::memcpy(&stored_checksum, data.data() + pos + 4 + body_len, 8);
-    if (checksum64(data.data() + pos + 4, body_len) != stored_checksum) {
-      break;
-    }
     entry.shard = shard_index;
-    entry.spec_offset = pos + 4 + kRecordHeader;
+    entry.spec_offset =
+        static_cast<uint64_t>(body.data() - data.data()) + kRecordHeader;
     entry.result_offset = entry.spec_offset + entry.spec_len;
     // First occurrence wins; later duplicates (merged stores share
     // content) are valid but redundant.
     if (index_.emplace(entry.digest, entries_.size()).second) {
       entries_.push_back(entry);
     }
-    pos += 4 + body_len + 8;
-    continue;
-  }
-  if (pos < data.size()) {
+  });
+  if (end < data.size()) {
     CF_LOG_WARN(
         "result cache: %s: bad record at offset %zu; ignoring the rest of "
         "the shard (%zu trailing bytes)",
-        path.c_str(), pos, data.size() - pos);
+        path.c_str(), end, data.size() - end);
     ++skipped_records_;
   }
 }
@@ -274,9 +218,10 @@ bool ResultCache::lookup(const SpecDigest& digest, RunResult* out) {
 }
 
 void ResultCache::insert_batch(const std::vector<Insert>& batch) {
-  BlobWriter shard;
-  shard.u32(kShardMagic);
-  shard.u32(kShardFormatVersion);
+  BlobWriter header;
+  header.u32(kShardMagic);
+  header.u32(kShardFormatVersion);
+  std::string content = header.take();
   std::vector<Entry> pending;
   std::unordered_map<SpecDigest, bool, SpecDigestHash> in_batch;
   for (const Insert& ins : batch) {
@@ -297,16 +242,13 @@ void ResultCache::insert_batch(const std::vector<Insert>& batch) {
     entry.digest = ins.digest;
     entry.spec_len = static_cast<uint32_t>(ins.spec_blob.size());
     entry.result_len = static_cast<uint32_t>(result_bytes.size());
-    entry.spec_offset = shard.size() + 4 + kRecordHeader;
+    entry.spec_offset = content.size() + 4 + kRecordHeader;
     entry.result_offset = entry.spec_offset + entry.spec_len;
     pending.push_back(entry);
-    shard.u32(kRecordMagic);
-    shard.bytes(body.data().data(), body.size());
-    shard.u64(checksum64(body.data().data(), body.size()));
+    content += encode_frame(kRecordMagic, body.data());
   }
   if (pending.empty()) return;
 
-  const std::string content = shard.take();
   // Content-hash naming makes shard writes idempotent and store merges
   // collision-free: copying shards between stores can only ever add files.
   const std::string name =
@@ -433,11 +375,7 @@ bool save_shard_table(const std::string& path, const ShardTable& table) {
     body.u32(static_cast<uint32_t>(bytes.size()));
     body.bytes(bytes.data(), bytes.size());
   }
-  BlobWriter file;
-  file.u32(kTableMagic);
-  file.bytes(body.data().data(), body.size());
-  file.u64(checksum64(body.data().data(), body.size()));
-  return write_file_atomic(path, file.take());
+  return write_file_atomic(path, encode_frame(kTableMagic, body.data()));
 }
 
 bool load_shard_table(const std::string& path, ShardTable* out,
@@ -447,23 +385,13 @@ bool load_shard_table(const std::string& path, ShardTable* out,
     *error = "cannot read " + path;
     return false;
   }
-  if (data.size() < 12) {
-    *error = path + " is truncated";
+  std::string_view body;
+  std::string why;
+  if (!whole_frame(data, kTableMagic, &body, &why)) {
+    *error = path + " " + why;
     return false;
   }
-  BlobReader magic_reader(data.data(), 4);
-  if (magic_reader.u32() != kTableMagic) {
-    *error = path + " is not a shard table";
-    return false;
-  }
-  const size_t body_len = data.size() - 12;
-  uint64_t stored_checksum = 0;
-  std::memcpy(&stored_checksum, data.data() + 4 + body_len, 8);
-  if (checksum64(data.data() + 4, body_len) != stored_checksum) {
-    *error = path + " failed its checksum (corrupt or truncated)";
-    return false;
-  }
-  BlobReader r(data.data() + 4, body_len);
+  BlobReader r(body.data(), body.size());
   if (r.u32() != kTableFormatVersion) {
     *error = path + " has an unsupported table version";
     return false;

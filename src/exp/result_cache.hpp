@@ -20,10 +20,10 @@
 ///                       copying files; identical shards collide to one)
 ///   last_run.stats      hit/miss counters of the most recent cached sweep
 ///
-/// Crash safety: shards are written to a dot-temp file and renamed into
-/// place, so a torn write never corrupts an existing shard; within a file,
-/// every record carries a checksum and the open-time scan stops at the
-/// first bad record (a truncated tail costs its records, never wrong
+/// Crash safety comes from exp/record_file.hpp: every file is replaced
+/// atomically (a failed or interrupted write leaves the old bytes), each
+/// record is a checksummed frame, and the open-time scan stops at the
+/// first bad one (a truncated tail costs its records, never wrong
 /// results). The cache is a single-writer, single-reader object: the sweep
 /// engine drives it from the coordinating thread only — workers touch it
 /// never (lookups happen before the fan-out, inserts after the join).
@@ -130,8 +130,8 @@ struct ShardTable {
   std::string source;
 };
 
-/// Temp + rename, same record checksums as the cache shards. False (with
-/// a message on stderr) on I/O failure.
+/// One checksummed frame, replaced atomically. False (with a message on
+/// stderr) on I/O failure, leaving any previous file at `path` intact.
 bool save_shard_table(const std::string& path, const ShardTable& table);
 /// False + *error on malformed/corrupt files.
 bool load_shard_table(const std::string& path, ShardTable* out,

@@ -12,12 +12,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <thread>
-#include <tuple>
 
 #include "common/log.hpp"
 #include "exp/blob.hpp"
+#include "exp/record_file.hpp"
 #include "exp/result_cache.hpp"
 
 namespace fs = std::filesystem;
@@ -33,7 +32,7 @@ constexpr uint32_t kManifestMagic = 0x4346514du;       // "CFQM"
 constexpr uint32_t kManifestVersion = 1;
 
 /// Journal header: magic, version, grid digest, grid size, checksum over
-/// everything before the checksum.
+/// everything before the checksum (magic included, so not a frame).
 constexpr size_t kJournalHeaderBytes = 4 + 4 + 16 + 8 + 8;
 /// Fixed part of a journal record after its magic: spec, attempt, len.
 constexpr size_t kJournalRecordHeader = 8 + 4 + 4;
@@ -42,52 +41,10 @@ constexpr size_t kJournalRecordHeader = 8 + 4 + 4;
 /// file could not be written (distinguishable from the crash-hook's 41).
 constexpr int kWorkerWriteFailure = 42;
 
-uint64_t checksum64(const void* data, size_t size) {
-  return digest_bytes(data, size).lo;
-}
-
 double now_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) return false;
-  *out = std::move(data);
-  return true;
-}
-
-/// Same temp + rename discipline as the result cache: the destination
-/// either keeps its old content or atomically gains the complete new one.
-bool write_file_atomic(const std::string& path, const std::string& body) {
-  const std::string tmp =
-      path + ".tmp-" + std::to_string(static_cast<long>(::getpid()));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      CF_LOG_ERROR("supervisor: cannot open %s for writing", tmp.c_str());
-      return false;
-    }
-    out.write(body.data(), static_cast<std::streamsize>(body.size()));
-    if (!out.good()) {
-      CF_LOG_ERROR("supervisor: short write to %s", tmp.c_str());
-      return false;
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    CF_LOG_ERROR("supervisor: rename %s -> %s failed: %s", tmp.c_str(),
-                 path.c_str(), ec.message().c_str());
-    fs::remove(tmp, ec);
-    return false;
-  }
-  return true;
 }
 
 // ---- journal -----------------------------------------------------------
@@ -104,6 +61,38 @@ std::string encode_journal_header(const SpecDigest& grid,
   return w.take();
 }
 
+/// Journal records are frames whose head ends with the result length.
+constexpr FrameLayout kJournalLayout{kJournalRecordMagic,
+                                     kJournalRecordHeader, 1};
+
+struct JournalRecord {
+  uint64_t spec = 0;
+  uint32_t attempt = 0;
+  std::string result;  // encode_result bytes
+};
+
+/// False unless `body` is exactly a record head and its result bytes.
+bool parse_journal_record(std::string_view body, JournalRecord* rec) {
+  BlobReader r(body.data(), body.size());
+  rec->spec = r.u64();
+  rec->attempt = r.u32();
+  const uint32_t len = r.u32();
+  const char* bytes = r.span(len);
+  if (bytes == nullptr || r.remaining() != 0) return false;
+  rec->result.assign(bytes, len);
+  return true;
+}
+
+std::string encode_journal_record(uint64_t spec, uint32_t attempt,
+                                  const std::string& result_bytes) {
+  BlobWriter body;
+  body.u64(spec);
+  body.u32(attempt);
+  body.u32(static_cast<uint32_t>(result_bytes.size()));
+  body.bytes(result_bytes.data(), result_bytes.size());
+  return encode_frame(kJournalRecordMagic, body.data());
+}
+
 struct JournalScan {
   bool present = false;
   bool valid = false;  // header parsed and checksummed
@@ -112,7 +101,7 @@ struct JournalScan {
   uint64_t grid_size = 0;
   uint64_t good_bytes = 0;  // scan stop offset (truncate point on resume)
   uint64_t dropped_bytes = 0;
-  std::vector<std::tuple<uint64_t, uint32_t, std::string>> records;
+  std::vector<JournalRecord> records;
 };
 
 /// Scan stops at the first bad record: a torn appended tail costs its
@@ -143,42 +132,13 @@ JournalScan scan_journal(const std::string& path) {
     return scan;
   }
   scan.valid = true;
-  size_t off = kJournalHeaderBytes;
-  while (off < data.size()) {
-    if (data.size() - off < 4 + kJournalRecordHeader + 8) break;
-    BlobReader r(data.data() + off, data.size() - off);
-    if (r.u32() != kJournalRecordMagic) break;
-    const uint64_t spec = r.u64();
-    const uint32_t attempt = r.u32();
-    const uint32_t len = r.u32();
-    const char* bytes = r.span(len);
-    if (bytes == nullptr) break;
-    const uint64_t stored = r.u64();
-    if (!r.ok()) break;
-    if (checksum64(data.data() + off + 4, kJournalRecordHeader + len) !=
-        stored) {
-      break;
-    }
-    scan.records.emplace_back(spec, attempt, std::string(bytes, len));
-    off += 4 + kJournalRecordHeader + len + 8;
-  }
-  scan.good_bytes = off;
-  scan.dropped_bytes = data.size() - off;
+  scan.good_bytes = scan_frames(data, kJournalHeaderBytes, kJournalLayout,
+                                [&](std::string_view body) {
+    // Cannot fail: the scan delimited the body by its own length field.
+    parse_journal_record(body, &scan.records.emplace_back());
+  });
+  scan.dropped_bytes = data.size() - scan.good_bytes;
   return scan;
-}
-
-std::string encode_journal_record(uint64_t spec, uint32_t attempt,
-                                  const std::string& result_bytes) {
-  BlobWriter body;
-  body.u64(spec);
-  body.u32(attempt);
-  body.u32(static_cast<uint32_t>(result_bytes.size()));
-  body.bytes(result_bytes.data(), result_bytes.size());
-  BlobWriter rec;
-  rec.u32(kJournalRecordMagic);
-  rec.bytes(body.data().data(), body.size());
-  rec.u64(checksum64(body.data().data(), body.size()));
-  return rec.take();
 }
 
 // ---- quarantine manifest -----------------------------------------------
@@ -197,32 +157,18 @@ std::string encode_manifest(const SpecDigest& grid,
     body.i32(row.exit_status);
     body.i32(row.term_signal);
   }
-  BlobWriter file;
-  file.u32(kManifestMagic);
-  file.bytes(body.data().data(), body.size());
-  file.u64(checksum64(body.data().data(), body.size()));
-  return file.take();
+  return encode_frame(kManifestMagic, body.data());
 }
 
 bool decode_manifest(const std::string& data, SpecDigest* grid,
                      std::vector<QuarantineRow>* rows, std::string* error) {
-  if (data.size() < 12) {
-    *error = "manifest is truncated";
+  std::string_view body;
+  std::string why;
+  if (!whole_frame(data, kManifestMagic, &body, &why)) {
+    *error = "manifest " + why;
     return false;
   }
-  BlobReader magic_reader(data.data(), 4);
-  if (magic_reader.u32() != kManifestMagic) {
-    *error = "manifest has a bad magic";
-    return false;
-  }
-  const size_t body_len = data.size() - 12;
-  uint64_t stored = 0;
-  std::memcpy(&stored, data.data() + 4 + body_len, 8);
-  if (checksum64(data.data() + 4, body_len) != stored) {
-    *error = "manifest failed its checksum (torn or corrupt)";
-    return false;
-  }
-  BlobReader r(data.data() + 4, body_len);
+  BlobReader r(body.data(), body.size());
   if (r.u32() != kManifestVersion) {
     *error = "manifest has an unsupported version";
     return false;
@@ -274,7 +220,8 @@ bool decode_manifest(const std::string& data, SpecDigest* grid,
 
 /// The forked worker: one spec, one result file, _exit. Never returns to
 /// the supervisor's code; _exit skips atexit/stdio so the parent's
-/// buffered output is not replayed.
+/// buffered output is not replayed. The result file is the journal record
+/// the parent will append.
 [[noreturn]] void worker_main(const SweepGrid& grid, uint64_t spec,
                               uint32_t attempt, const CrashSpec& crash,
                               const std::string& result_path) {
@@ -284,38 +231,33 @@ bool decode_manifest(const std::string& data, SpecDigest* grid,
     crash_now(crash.mode);
   }
   const RunResult result = run_spec(grid.specs()[spec]);
-  std::string bytes = encode_result(result);
-  const uint64_t sum = checksum64(bytes.data(), bytes.size());
-  bytes.append(reinterpret_cast<const char*>(&sum), sizeof(sum));
-  const int fd =
-      ::open(result_path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd < 0) ::_exit(kWorkerWriteFailure);
-  size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n <= 0) {
-      ::close(fd);
-      ::_exit(kWorkerWriteFailure);
-    }
-    written += static_cast<size_t>(n);
+  if (!write_file_atomic(result_path, encode_journal_record(
+                                          spec, attempt,
+                                          encode_result(result)))) {
+    ::_exit(kWorkerWriteFailure);
   }
-  ::close(fd);
   ::_exit(0);
 }
 
-/// Parent-side read of a worker's result file: trailing checksum and a
-/// full decode must both pass, or the attempt counts as a failure.
-bool read_worker_result(const std::string& path, std::string* out_bytes) {
+/// Parent-side read of a worker's result file: one good journal record
+/// for this spec and attempt whose result fully decodes, or the attempt
+/// counts as a failure. On success *record holds the file's bytes, ready
+/// to append to the journal.
+bool read_worker_result(const std::string& path, uint64_t spec,
+                        uint32_t attempt, std::string* record,
+                        RunResult* result) {
   std::string data;
-  if (!read_file(path, &data) || data.size() < 8) return false;
-  uint64_t stored = 0;
-  std::memcpy(&stored, data.data() + data.size() - 8, 8);
-  data.resize(data.size() - 8);
-  if (checksum64(data.data(), data.size()) != stored) return false;
-  RunResult probe;
-  if (!decode_result(data.data(), data.size(), &probe)) return false;
-  *out_bytes = std::move(data);
+  std::string error;
+  std::string_view body;
+  JournalRecord rec;
+  if (!read_file(path, &data) ||
+      !whole_frame(data, kJournalRecordMagic, &body, &error) ||
+      !parse_journal_record(body, &rec) || rec.spec != spec ||
+      rec.attempt != attempt ||
+      !decode_result(rec.result.data(), rec.result.size(), result)) {
+    return false;
+  }
+  *record = std::move(data);
   return true;
 }
 
@@ -527,20 +469,12 @@ std::vector<RunResult> SweepSupervisor::run(SupervisorReport* report_out) {
     return fail("cannot append to " + journal_path + ": " +
                 std::strerror(errno));
   }
-  const auto journal_append = [&](uint64_t spec, uint32_t attempt,
-                                  const std::string& bytes) {
-    const std::string rec = encode_journal_record(spec, attempt, bytes);
-    size_t written = 0;
-    while (written < rec.size()) {
-      const ssize_t w = ::write(journal.fd, rec.data() + written,
-                                rec.size() - written);
-      if (w <= 0) {
-        // The result is still in memory; only resumability degrades.
-        CF_LOG_ERROR("supervisor: journal append failed: %s",
-                     std::strerror(errno));
-        return;
-      }
-      written += static_cast<size_t>(w);
+  const auto journal_append = [&](const std::string& rec) {
+    // On failure the result is still in memory; only resumability
+    // degrades.
+    if (!write_all(journal.fd, rec)) {
+      CF_LOG_ERROR("supervisor: journal append failed: %s",
+                   std::strerror(errno));
     }
   };
   const auto quarantine = [&](const QuarantineRow& row) {
@@ -652,19 +586,19 @@ std::vector<RunResult> SweepSupervisor::run(SupervisorReport* report_out) {
         continue;
       }
       progressed = true;
-      std::string bytes;
+      std::string record;
+      RunResult decoded;
       const bool ok = r == a.pid && WIFEXITED(status) &&
                       WEXITSTATUS(status) == 0 &&
-                      read_worker_result(a.result_path, &bytes);
+                      read_worker_result(a.result_path, a.spec, a.attempt,
+                                         &record, &decoded);
       fs::remove(a.result_path, ec);
       attempts[a.spec] = a.attempt + 1;
       if (ok) {
-        RunResult decoded;
-        decode_result(bytes.data(), bytes.size(), &decoded);
         results[a.spec] = std::move(decoded);
         state[a.spec] = SpecState::kDone;
         ++report.executed;
-        journal_append(a.spec, a.attempt, bytes);
+        journal_append(record);
       } else {
         QuarantineRow row;
         row.spec_index = a.spec;

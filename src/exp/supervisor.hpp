@@ -19,12 +19,12 @@
 /// that kills its worker `max_attempts` times is skipped, recorded in a
 /// checksummed quarantine manifest with its exit status/signal, and the
 /// sweep completes without it. Progress is journaled through an
-/// append-only checksummed run journal (same temp+rename and
-/// scan-stop-at-first-bad-record discipline as the result cache), so a
-/// supervisor that is itself SIGKILLed mid-run resumes by re-running only
-/// the unfinished specs — and, because journaled results are the workers'
-/// own encode_result bytes, the finished table is bit-identical to an
-/// uninterrupted single-process run.
+/// append-only run journal of checksummed frames (exp/record_file.hpp,
+/// shared with the result cache), so a supervisor that is itself
+/// SIGKILLed mid-run resumes by re-running only the unfinished specs —
+/// and, because journaled results are the workers' own encode_result
+/// bytes, the finished table is bit-identical to an uninterrupted
+/// single-process run.
 ///
 /// Failure testing is deterministic: CUTTLEFISH_CRASH_AT=<spec>:<mode>
 /// (modes abort | kill | hang | exit, optional :N = first N attempts

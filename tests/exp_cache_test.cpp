@@ -1,13 +1,20 @@
 #include "exp/result_cache.hpp"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <random>
+#include <thread>
 
 #include "exp/spec_digest.hpp"
 #include "exp/sweep.hpp"
@@ -577,6 +584,107 @@ TEST(exp_cache, CorruptShardTableFileIsRejected) {
   EXPECT_FALSE(load_shard_table(path, &back, &error));
   EXPECT_FALSE(load_shard_table((store.dir() / "absent.tbl").string(),
                                 &back, &error));
+}
+
+/// Runs `body` in a forked child whose files may not grow past
+/// `limit_bytes`, with SIGXFSZ ignored so an oversized write fails with
+/// EFBIG instead of killing the child. `body` returns what went wrong
+/// (empty when nothing did); the result is the child's verdict.
+std::string in_child_with_file_size_limit(
+    rlim_t limit_bytes, const std::function<std::string()>& body) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::signal(SIGXFSZ, SIG_IGN);
+    const rlimit limit{limit_bytes, limit_bytes};
+    const std::string why = ::setrlimit(RLIMIT_FSIZE, &limit) == 0
+                                ? body()
+                                : std::string("setrlimit failed");
+    std::fputs(why.c_str(), stderr);
+    ::_exit(why.empty() ? 0 : 1);
+  }
+  int status = 0;
+  if (pid < 0 || ::waitpid(pid, &status, 0) != pid) return "fork failed";
+  if (!WIFEXITED(status)) return "child died";
+  return WEXITSTATUS(status) == 0 ? "" : "child reported a failure";
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+std::vector<std::string> dir_names(const fs::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    names.push_back(e.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(exp_cache, FailedTableSaveKeepsTheOldFileAndLeavesNoTemp) {
+  TempStore store("fsize");
+  fs::create_directories(store.dir());
+  const std::string path = (store.dir() / "t.tbl").string();
+  ShardTable small;  // no rows: a 40-byte file
+  small.grid_size = 4;
+  ShardTable large = small;  // one row with a long timeline: ~64 KiB
+  RunResult result;
+  result.timeline.resize(2000);
+  large.rows.emplace_back(0, result);
+  ASSERT_TRUE(save_shard_table(path, small));
+  const std::string old_bytes = read_bytes(path);
+
+  // Under a 20-byte file-size limit neither body fits: each save must
+  // report failure, keep the previous table, and clean up its temp.
+  const std::string verdict = in_child_with_file_size_limit(20, [&] {
+    for (const ShardTable* table : {&small, &large}) {
+      const std::string what =
+          table->rows.empty() ? "small table: " : "large table: ";
+      if (save_shard_table(path, *table)) return what + "save succeeded\n";
+      if (read_bytes(path) != old_bytes) return what + "old file changed\n";
+      if (dir_names(store.dir()) != std::vector<std::string>{"t.tbl"}) {
+        return what + "temp file left behind\n";
+      }
+    }
+    return std::string();
+  });
+  EXPECT_EQ(verdict, "");
+  ShardTable back;
+  std::string error;
+  EXPECT_TRUE(load_shard_table(path, &back, &error)) << error;
+  EXPECT_EQ(dir_names(store.dir()), std::vector<std::string>{"t.tbl"});
+}
+
+TEST(exp_cache, ConcurrentNoteRunsAlwaysLeaveACompleteLastRun) {
+  // Two caches on one directory in one process, as two sweeps sharing a
+  // store would have: their replaces of last_run.stats race, and a reader
+  // must only ever see one whole record.
+  TempStore store("noterun");
+  ResultCache a(store.path());
+  ResultCache b(store.path());
+  a.note_run(0, 0);
+  std::atomic<bool> done{false};
+  std::atomic<int> bad_reads{0};
+  std::thread reader([&] {
+    while (!done.load()) {
+      const ResultCache::LastRun run = a.last_run();
+      if (!run.present || run.hits != run.misses) ++bad_reads;
+    }
+  });
+  const auto writer = [](ResultCache* cache, uint64_t base) {
+    for (uint64_t i = 0; i < 5000; ++i) cache->note_run(base + i, base + i);
+  };
+  std::thread wa(writer, &a, 0);
+  std::thread wb(writer, &b, 1000000);
+  wa.join();
+  wb.join();
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(bad_reads.load(), 0);
+  EXPECT_EQ(dir_names(store.dir()),
+            std::vector<std::string>{"last_run.stats"});
 }
 
 TEST(exp_cache, MergeDiagnosticsNameTheOffendingFiles) {

@@ -109,6 +109,21 @@ TEST_F(SessionLifecycle, DefaultConstructedSessionIsInertEverywhere) {
   EXPECT_FALSE(session.load_profiles("/nonexistent/profiles.json"));
 }
 
+TEST_F(SessionLifecycle, SimBackendRunsWhenNamed) {
+  Options options = fast_options();
+  options.backend = "sim";
+  {
+    Session session{options};
+    ASSERT_TRUE(session.active());
+    EXPECT_EQ(session.backend(), "sim");
+    EXPECT_FALSE(session.degraded());
+    // Let the daemon tick the live, self-advancing simulator.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    session.stop();
+    EXPECT_FALSE(session.active());
+  }  // ~Session after stop(): the platform's thread is already joined
+}
+
 TEST_F(SessionLifecycle, OutOfRangeDaemonCpuFallsBackToUnpinned) {
   Options options = fast_options();
   options.daemon_cpu = 1 << 20;  // beyond any real host

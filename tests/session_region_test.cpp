@@ -5,8 +5,13 @@
 // region-free session (the two-call shim's behaviour).
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -387,6 +392,56 @@ TEST(Region, MalformedProfileContentIsSkippedNotFatal) {
     run.run_until_instructions(0.05 * kCycleInstructions);
   }
   std::remove(path.c_str());
+}
+
+TEST(Region, FailedSaveKeepsThePreviousProfileFile) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("cuttlefish_session_save_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "profiles.json").string();
+  const auto read_bytes = [&] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+
+  ManualRun run(/*cycles=*/1);
+  ASSERT_TRUE(run.session.save_profiles(path));  // the previous file
+  const std::string before = read_bytes();
+  {
+    Region region(run.session, "kernel");
+    run.run_until_instructions(0.25 * kCycleInstructions);
+  }
+  // A save that cannot complete (an 8-byte file-size limit, SIGXFSZ
+  // ignored so the write fails with EFBIG) must report failure and leave
+  // the previous file whole.
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::signal(SIGXFSZ, SIG_IGN);
+    const rlimit limit{8, 8};
+    ::_exit(::setrlimit(RLIMIT_FSIZE, &limit) == 0 &&
+                    !run.session.save_profiles(path)
+                ? 0
+                : 1);
+  }
+  ASSERT_GT(pid, 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "the limited save reported success";
+
+  EXPECT_EQ(read_bytes(), before);
+  ManualRun fresh(/*cycles=*/1);
+  EXPECT_TRUE(fresh.session.load_profiles(path));
+  std::vector<std::string> names;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    names.push_back(e.path().filename().string());
+  }
+  EXPECT_EQ(names, std::vector<std::string>{"profiles.json"});
+  fs::remove_all(dir);
 }
 
 TEST(Region, StopWithOpenRegionCachesItsProfile) {
