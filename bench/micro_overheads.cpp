@@ -148,11 +148,11 @@ void BM_SchedulerAsyncFinish(benchmark::State& state) {
 BENCHMARK(BM_SchedulerAsyncFinish)->Arg(1000);
 
 void BM_ParallelForStatic(benchmark::State& state) {
-  runtime::ThreadPool pool(4);
+  runtime::TaskScheduler rt(4);
   std::vector<double> data(65536, 1.0);
   for (auto _ : state) {
-    runtime::parallel_for_blocked(
-        pool, 0, static_cast<int64_t>(data.size()),
+    runtime::parallel_for_static(
+        rt, 0, static_cast<int64_t>(data.size()),
         [&](int64_t lo, int64_t hi) {
           for (int64_t i = lo; i < hi; ++i) {
             data[static_cast<size_t>(i)] *= 1.0000001;

@@ -26,7 +26,6 @@
 #include "common/rng.hpp"
 #include "runtime/deque.hpp"
 #include "runtime/scheduler.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace {
 

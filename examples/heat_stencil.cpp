@@ -18,7 +18,6 @@
 #include "exp/calibrate.hpp"
 #include "exp/realtime.hpp"
 #include "runtime/scheduler.hpp"
-#include "runtime/thread_pool.hpp"
 #include "sim/machine_config.hpp"
 #include "workloads/kernels/stencil.hpp"
 #include "workloads/suite.hpp"
@@ -70,13 +69,12 @@ int main() {
   options.daemon_cpu = -1;
   Session session(platform, options);
 
-  runtime::ThreadPool pool(runtime::default_thread_count());
   runtime::TaskScheduler tasks(runtime::default_thread_count());
 
-  const double ws = run_variant(session, "Heat-ws (parallel_for)",
+  const double ws = run_variant(session, "Heat-ws (static loop)",
                                 [&](const workloads::Grid2D& in,
                                     workloads::Grid2D& out) {
-                                  workloads::heat_step_ws(pool, in, out);
+                                  workloads::heat_step_ws(tasks, in, out);
                                 });
   const double rt = run_variant(
       session, "Heat-rt (regular DAG)",

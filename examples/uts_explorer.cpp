@@ -15,7 +15,6 @@
 #include "exp/driver.hpp"
 #include "exp/realtime.hpp"
 #include "runtime/scheduler.hpp"
-#include "runtime/thread_pool.hpp"
 #include "workloads/kernels/uts.hpp"
 #include "workloads/suite.hpp"
 

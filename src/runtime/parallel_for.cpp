@@ -1,85 +1,62 @@
 #include "runtime/parallel_for.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <vector>
 
 #include "common/assert.hpp"
 
 namespace cuttlefish::runtime {
+
+// ---- static partition ------------------------------------------------------
+
 namespace {
 
-int64_t default_chunk(int64_t n, int threads) {
-  // Matches the common OpenMP dynamic default heuristic: enough chunks for
-  // ~8-way oversubscription without degenerating to single iterations.
-  const int64_t chunks = static_cast<int64_t>(threads) * 8;
-  return std::max<int64_t>(1, n / std::max<int64_t>(1, chunks));
-}
-
-}  // namespace
-
-void parallel_for_blocked(ThreadPool& pool, int64_t begin, int64_t end,
-                          const std::function<void(int64_t, int64_t)>& body,
-                          Schedule schedule, int64_t chunk) {
-  if (begin >= end) return;
+// Runs body(t, lo, hi) for each non-empty chunk t of the static partition
+// documented in parallel_for.hpp, one task per chunk under one finish.
+// The spawned lambda captures {&body, t, lo, hi}: 32 bytes, inside
+// TaskNode's 48-byte inline storage.
+template <typename Body>
+void run_static_chunks(TaskScheduler& rt, int64_t begin, int64_t end,
+                       const Body& body) {
+  CF_ASSERT(TaskScheduler::current_worker() == -1,
+            "static-partition loop must be called from outside the pool");
   const int64_t n = end - begin;
-  const int threads = pool.size();
-
-  if (schedule == Schedule::kStatic) {
-    pool.run_on_all([&](int tid) {
-      // Contiguous static partition, like schedule(static).
-      const int64_t per = n / threads;
-      const int64_t extra = n % threads;
-      const int64_t lo =
-          begin + tid * per + std::min<int64_t>(tid, extra);
-      const int64_t hi = lo + per + (tid < extra ? 1 : 0);
-      if (lo < hi) body(lo, hi);
-    });
-    return;
-  }
-
-  const int64_t step = chunk > 0 ? chunk : default_chunk(n, threads);
-  std::atomic<int64_t> next{begin};
-  pool.run_on_all([&](int) {
-    for (;;) {
-      const int64_t lo = next.fetch_add(step, std::memory_order_relaxed);
-      if (lo >= end) return;
-      body(lo, std::min(lo + step, end));
+  const int64_t chunks = rt.size();
+  const int64_t per = n / chunks;
+  const int64_t extra = n % chunks;
+  rt.finish([&] {
+    for (int64_t t = 0; t < chunks; ++t) {
+      const int64_t lo = begin + t * per + std::min(t, extra);
+      const int64_t hi = lo + per + (t < extra ? 1 : 0);
+      if (lo < hi) rt.async([&body, t, lo, hi] { body(t, lo, hi); });
     }
   });
 }
 
-void parallel_for(ThreadPool& pool, int64_t begin, int64_t end,
-                  const std::function<void(int64_t)>& body,
-                  Schedule schedule, int64_t chunk) {
-  parallel_for_blocked(
-      pool, begin, end,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) body(i);
-      },
-      schedule, chunk);
+}  // namespace
+
+void parallel_for_static(TaskScheduler& rt, int64_t begin, int64_t end,
+                         const std::function<void(int64_t, int64_t)>& body) {
+  if (begin >= end) return;
+  run_static_chunks(rt, begin, end,
+                    [&body](int64_t, int64_t lo, int64_t hi) { body(lo, hi); });
 }
 
-double parallel_reduce(ThreadPool& pool, int64_t begin, int64_t end,
+double parallel_reduce(TaskScheduler& rt, int64_t begin, int64_t end,
                        const std::function<double(int64_t)>& term) {
   if (begin >= end) return 0.0;
-  std::vector<double> partial(static_cast<size_t>(pool.size()), 0.0);
-  const int64_t n = end - begin;
-  const int threads = pool.size();
-  pool.run_on_all([&](int tid) {
-    const int64_t per = n / threads;
-    const int64_t extra = n % threads;
-    const int64_t lo = begin + tid * per + std::min<int64_t>(tid, extra);
-    const int64_t hi = lo + per + (tid < extra ? 1 : 0);
+  std::vector<double> partial(static_cast<size_t>(rt.size()), 0.0);
+  run_static_chunks(rt, begin, end, [&](int64_t t, int64_t lo, int64_t hi) {
     double acc = 0.0;
     for (int64_t i = lo; i < hi; ++i) acc += term(i);
-    partial[static_cast<size_t>(tid)] = acc;
+    partial[static_cast<size_t>(t)] = acc;
   });
   double total = 0.0;
   for (double p : partial) total += p;
   return total;
 }
 
-// ---- task-runtime loops (lazy binary splitting) ----------------------------
+// ---- lazy binary splitting -------------------------------------------------
 
 namespace {
 
@@ -138,31 +115,6 @@ void parallel_for(TaskScheduler& rt, int64_t begin, int64_t end,
         for (int64_t i = lo; i < hi; ++i) body(i);
       },
       grain);
-}
-
-double parallel_reduce(TaskScheduler& rt, int64_t begin, int64_t end,
-                       const std::function<double(int64_t)>& term,
-                       int64_t grain) {
-  if (begin >= end) return 0.0;
-  // One padded accumulator per worker; leaf blocks accumulate locally and
-  // flush once, so there is no atomic traffic in the inner loop.
-  struct alignas(64) Slot {
-    double value = 0.0;
-  };
-  std::vector<Slot> partial(static_cast<size_t>(rt.size()));
-  parallel_for_blocked(
-      rt, begin, end,
-      [&](int64_t lo, int64_t hi) {
-        double acc = 0.0;
-        for (int64_t i = lo; i < hi; ++i) acc += term(i);
-        const int w = TaskScheduler::current_worker();
-        CF_ASSERT(w >= 0, "reduce leaf ran outside the pool");
-        partial[static_cast<size_t>(w)].value += acc;
-      },
-      grain);
-  double total = 0.0;
-  for (const Slot& p : partial) total += p.value;
-  return total;
 }
 
 }  // namespace cuttlefish::runtime

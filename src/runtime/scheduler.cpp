@@ -36,6 +36,11 @@ constexpr int kMaxPauseDelay = 128;
 
 }  // namespace
 
+int default_thread_count() {
+  const unsigned hc = std::thread::hardware_concurrency();
+  return hc == 0 ? 1 : static_cast<int>(hc);
+}
+
 int TaskScheduler::current_worker() { return t_worker_id; }
 
 TaskScheduler::TaskScheduler(int threads) : thread_count_(threads) {

@@ -180,4 +180,7 @@ class TaskScheduler {
   std::condition_variable quiesce_cv_;
 };
 
+/// Default worker count: hardware concurrency, at least 1.
+int default_thread_count();
+
 }  // namespace cuttlefish::runtime

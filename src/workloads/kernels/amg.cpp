@@ -20,8 +20,8 @@ bool is_power_of_two_plus_one(int64_t n) {
 
 }  // namespace
 
-Multigrid2D::Multigrid2D(int64_t n, runtime::ThreadPool* pool)
-    : n_(n), pool_(pool) {
+Multigrid2D::Multigrid2D(int64_t n, runtime::TaskScheduler* rt)
+    : n_(n), rt_(rt) {
   CF_ASSERT(is_power_of_two_plus_one(n), "grid size must be 2^k + 1");
   for (int64_t m = n; m >= 5; m = (m - 1) / 2 + 1) {
     level_n_.push_back(m);
@@ -57,10 +57,10 @@ void Multigrid2D::smooth(int level, std::vector<double>& u,
         }
       }
     };
-    if (pool_ == nullptr) {
+    if (rt_ == nullptr) {
       rows(0, n);
     } else {
-      runtime::parallel_for_blocked(*pool_, 0, n, rows);
+      runtime::parallel_for_static(*rt_, 0, n, rows);
     }
     u.swap(next);
   }

@@ -3,7 +3,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "runtime/thread_pool.hpp"
+namespace cuttlefish::runtime {
+class TaskScheduler;
+}  // namespace cuttlefish::runtime
 
 namespace cuttlefish::workloads {
 
@@ -15,8 +17,9 @@ namespace cuttlefish::workloads {
 /// touches a different working-set size.
 class Multigrid2D {
  public:
-  /// n must be (2^k)+1 with k >= 2; levels are built down to 5x5.
-  explicit Multigrid2D(int64_t n, runtime::ThreadPool* pool = nullptr);
+  /// n must be (2^k)+1 with k >= 2; levels are built down to 5x5. The
+  /// smoother runs on `rt` when it is given, sequentially otherwise.
+  explicit Multigrid2D(int64_t n, runtime::TaskScheduler* rt = nullptr);
 
   /// Run one V-cycle for A u = f; returns the resulting residual 2-norm.
   double vcycle(std::vector<double>& u, const std::vector<double>& f);
@@ -48,7 +51,7 @@ class Multigrid2D {
                     const std::vector<double>& f);
 
   int64_t n_;
-  runtime::ThreadPool* pool_;
+  runtime::TaskScheduler* rt_;
   std::vector<int64_t> level_n_;                  // grid size per level
   std::vector<std::vector<double>> scratch_u_;    // per-level work vectors
   std::vector<std::vector<double>> scratch_f_;

@@ -10,27 +10,27 @@ namespace cuttlefish::workloads {
 namespace {
 
 double dot(const std::vector<double>& a, const std::vector<double>& b,
-           runtime::ThreadPool* pool) {
+           runtime::TaskScheduler* rt) {
   CF_ASSERT(a.size() == b.size(), "dot size mismatch");
-  if (pool == nullptr) {
+  if (rt == nullptr) {
     double acc = 0.0;
     for (size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
     return acc;
   }
   return runtime::parallel_reduce(
-      *pool, 0, static_cast<int64_t>(a.size()),
+      *rt, 0, static_cast<int64_t>(a.size()),
       [&](int64_t i) { return a[static_cast<size_t>(i)] *
                               b[static_cast<size_t>(i)]; });
 }
 
 void axpy(double alpha, const std::vector<double>& x, std::vector<double>& y,
-          runtime::ThreadPool* pool) {
-  if (pool == nullptr) {
+          runtime::TaskScheduler* rt) {
+  if (rt == nullptr) {
     for (size_t i = 0; i < y.size(); ++i) y[i] += alpha * x[i];
     return;
   }
-  runtime::parallel_for_blocked(
-      *pool, 0, static_cast<int64_t>(y.size()),
+  runtime::parallel_for_static(
+      *rt, 0, static_cast<int64_t>(y.size()),
       [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i) {
           y[static_cast<size_t>(i)] += alpha * x[static_cast<size_t>(i)];
@@ -41,7 +41,7 @@ void axpy(double alpha, const std::vector<double>& x, std::vector<double>& y,
 }  // namespace
 
 void apply_poisson(const Poisson3D& op, const std::vector<double>& x,
-                   std::vector<double>& y, runtime::ThreadPool* pool) {
+                   std::vector<double>& y, runtime::TaskScheduler* rt) {
   CF_ASSERT(x.size() == static_cast<size_t>(op.unknowns()),
             "operand size mismatch");
   y.resize(x.size());
@@ -61,26 +61,26 @@ void apply_poisson(const Poisson3D& op, const std::vector<double>& x,
       }
     }
   };
-  if (pool == nullptr) {
+  if (rt == nullptr) {
     plane(0, op.nz);
   } else {
-    runtime::parallel_for_blocked(*pool, 0, op.nz, plane);
+    runtime::parallel_for_static(*rt, 0, op.nz, plane);
   }
 }
 
 CgResult conjugate_gradient(const Poisson3D& op, const std::vector<double>& b,
                             std::vector<double>& x, int max_iters,
-                            double tolerance, runtime::ThreadPool* pool) {
+                            double tolerance, runtime::TaskScheduler* rt) {
   const size_t n = static_cast<size_t>(op.unknowns());
   CF_ASSERT(b.size() == n, "rhs size mismatch");
   x.resize(n, 0.0);
 
   std::vector<double> r(n), p(n), ap(n);
-  apply_poisson(op, x, ap, pool);
+  apply_poisson(op, x, ap, rt);
   for (size_t i = 0; i < n; ++i) r[i] = b[i] - ap[i];
   p = r;
-  double rr = dot(r, r, pool);
-  const double stop = tolerance * tolerance * std::max(dot(b, b, pool), 1e-30);
+  double rr = dot(r, r, rt);
+  const double stop = tolerance * tolerance * std::max(dot(b, b, rt), 1e-30);
 
   CgResult result;
   for (int it = 0; it < max_iters; ++it) {
@@ -88,11 +88,11 @@ CgResult conjugate_gradient(const Poisson3D& op, const std::vector<double>& b,
       result.converged = true;
       break;
     }
-    apply_poisson(op, p, ap, pool);
-    const double alpha = rr / dot(p, ap, pool);
-    axpy(alpha, p, x, pool);
-    axpy(-alpha, ap, r, pool);
-    const double rr_new = dot(r, r, pool);
+    apply_poisson(op, p, ap, rt);
+    const double alpha = rr / dot(p, ap, rt);
+    axpy(alpha, p, x, rt);
+    axpy(-alpha, ap, r, rt);
+    const double rr_new = dot(r, r, rt);
     const double beta = rr_new / rr;
     for (size_t i = 0; i < n; ++i) p[i] = r[i] + beta * p[i];
     rr = rr_new;
@@ -104,7 +104,7 @@ CgResult conjugate_gradient(const Poisson3D& op, const std::vector<double>& b,
 }
 
 MiniFeResult minife_solve(const Poisson3D& op, int max_iters,
-                          double tolerance, runtime::ThreadPool* pool) {
+                          double tolerance, runtime::TaskScheduler* rt) {
   const size_t n = static_cast<size_t>(op.unknowns());
   // Manufactured solution: a smooth separable field.
   std::vector<double> truth(n);
@@ -123,11 +123,11 @@ MiniFeResult minife_solve(const Poisson3D& op, int max_iters,
     }
   }
   std::vector<double> b;
-  apply_poisson(op, truth, b, pool);
+  apply_poisson(op, truth, b, rt);
 
   MiniFeResult out;
   std::vector<double> x;
-  out.cg = conjugate_gradient(op, b, x, max_iters, tolerance, pool);
+  out.cg = conjugate_gradient(op, b, x, max_iters, tolerance, rt);
   double err = 0.0;
   for (size_t i = 0; i < n; ++i) err = std::max(err, std::abs(x[i] - truth[i]));
   out.solution_error = err;

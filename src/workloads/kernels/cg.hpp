@@ -1,9 +1,12 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "runtime/thread_pool.hpp"
+namespace cuttlefish::runtime {
+class TaskScheduler;
+}  // namespace cuttlefish::runtime
 
 namespace cuttlefish::workloads {
 
@@ -21,9 +24,9 @@ struct Poisson3D {
 };
 
 /// y = A x (7-point stencil, Dirichlet truncation at the boundary).
-/// `pool` may be null for sequential execution.
+/// `rt` may be null for sequential execution.
 void apply_poisson(const Poisson3D& op, const std::vector<double>& x,
-                   std::vector<double>& y, runtime::ThreadPool* pool);
+                   std::vector<double>& y, runtime::TaskScheduler* rt);
 
 struct CgResult {
   int iterations = 0;
@@ -35,7 +38,7 @@ struct CgResult {
 /// the solution on exit.
 CgResult conjugate_gradient(const Poisson3D& op, const std::vector<double>& b,
                             std::vector<double>& x, int max_iters,
-                            double tolerance, runtime::ThreadPool* pool);
+                            double tolerance, runtime::TaskScheduler* rt);
 
 /// MiniFE-style driver: "assemble" the right-hand side from a manufactured
 /// solution, run CG, and report the error against that solution.
@@ -44,6 +47,6 @@ struct MiniFeResult {
   double solution_error = 0.0;
 };
 MiniFeResult minife_solve(const Poisson3D& op, int max_iters,
-                          double tolerance, runtime::ThreadPool* pool);
+                          double tolerance, runtime::TaskScheduler* rt);
 
 }  // namespace cuttlefish::workloads

@@ -11,7 +11,7 @@
 namespace cuttlefish::workloads {
 
 void CsrMatrix::apply(const std::vector<double>& x, std::vector<double>& y,
-                      runtime::ThreadPool* pool) const {
+                      runtime::TaskScheduler* rt) const {
   CF_ASSERT(static_cast<int64_t>(x.size()) == rows, "operand size mismatch");
   y.assign(static_cast<size_t>(rows), 0.0);
   auto row_range = [&](int64_t r0, int64_t r1) {
@@ -25,10 +25,10 @@ void CsrMatrix::apply(const std::vector<double>& x, std::vector<double>& y,
       y[static_cast<size_t>(r)] = acc;
     }
   };
-  if (pool == nullptr) {
+  if (rt == nullptr) {
     row_range(0, rows);
   } else {
-    runtime::parallel_for_blocked(*pool, 0, rows, row_range);
+    runtime::parallel_for_static(*rt, 0, rows, row_range);
   }
 }
 
@@ -105,7 +105,7 @@ bool node_on_boundary(const FeMesh& mesh, int64_t node) {
 
 }  // namespace
 
-CsrMatrix assemble_poisson(const FeMesh& mesh, runtime::ThreadPool* pool) {
+CsrMatrix assemble_poisson(const FeMesh& mesh, runtime::TaskScheduler* rt) {
   const int64_t n = mesh.node_count();
   const double h = 1.0 / static_cast<double>(
                              std::max({mesh.nx, mesh.ny, mesh.nz}));
@@ -134,10 +134,10 @@ CsrMatrix assemble_poisson(const FeMesh& mesh, runtime::ThreadPool* pool) {
       }
     }
   };
-  if (pool == nullptr) {
+  if (rt == nullptr) {
     assemble_rows(0, n);
   } else {
-    runtime::parallel_for_blocked(*pool, 0, n, assemble_rows);
+    runtime::parallel_for_static(*rt, 0, n, assemble_rows);
   }
 
   // Dirichlet rows -> identity (MiniFE's boundary treatment).
@@ -163,8 +163,8 @@ CsrMatrix assemble_poisson(const FeMesh& mesh, runtime::ThreadPool* pool) {
 
 FeSolveResult minife_assemble_and_solve(const FeMesh& mesh, int max_iters,
                                         double tolerance,
-                                        runtime::ThreadPool* pool) {
-  const CsrMatrix a = assemble_poisson(mesh, pool);
+                                        runtime::TaskScheduler* rt) {
+  const CsrMatrix a = assemble_poisson(mesh, rt);
   const int64_t n = mesh.node_count();
 
   // Manufactured solution: product-of-parabolas field, zero on the
@@ -185,7 +185,7 @@ FeSolveResult minife_assemble_and_solve(const FeMesh& mesh, int max_iters,
     }
   }
   std::vector<double> b;
-  a.apply(truth, b, pool);
+  a.apply(truth, b, rt);
 
   // CG on the assembled operator.
   std::vector<double> x(static_cast<size_t>(n), 0.0);
@@ -196,7 +196,7 @@ FeSolveResult minife_assemble_and_solve(const FeMesh& mesh, int max_iters,
 
   FeSolveResult result;
   for (int it = 0; it < max_iters && rr > stop; ++it) {
-    a.apply(p, ap, pool);
+    a.apply(p, ap, rt);
     double pap = 0.0;
     for (size_t i = 0; i < p.size(); ++i) pap += p[i] * ap[i];
     const double alpha = rr / pap;

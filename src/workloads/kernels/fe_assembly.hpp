@@ -4,7 +4,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "runtime/thread_pool.hpp"
+namespace cuttlefish::runtime {
+class TaskScheduler;
+}  // namespace cuttlefish::runtime
 
 namespace cuttlefish::workloads {
 
@@ -19,9 +21,9 @@ struct CsrMatrix {
   std::vector<int64_t> col_idx;
   std::vector<double> values;
 
-  /// y = A x.
+  /// y = A x; `rt` may be null for sequential execution.
   void apply(const std::vector<double>& x, std::vector<double>& y,
-             runtime::ThreadPool* pool = nullptr) const;
+             runtime::TaskScheduler* rt = nullptr) const;
   /// Sum of one row's coefficients (interior Poisson rows sum to ~0).
   double row_sum(int64_t row) const;
   int64_t nonzeros() const { return static_cast<int64_t>(values.size()); }
@@ -56,10 +58,10 @@ std::array<std::array<double, 8>, 8> hex8_stiffness(double h);
 
 /// Assemble the global stiffness matrix with Dirichlet rows replaced by
 /// identity (the MiniFE boundary treatment). Thread-safe parallel
-/// assembly when `pool` is given: elements are coloured so no two
-/// concurrently assembled elements share a node.
+/// assembly when `rt` is given: each task owns a range of rows and
+/// accumulates only into them.
 CsrMatrix assemble_poisson(const FeMesh& mesh,
-                           runtime::ThreadPool* pool = nullptr);
+                           runtime::TaskScheduler* rt = nullptr);
 
 /// Full MiniFE-style pipeline: assemble, build the right-hand side for a
 /// manufactured solution, solve with CG, report iterations and error.
@@ -71,6 +73,6 @@ struct FeSolveResult {
 };
 FeSolveResult minife_assemble_and_solve(const FeMesh& mesh, int max_iters,
                                         double tolerance,
-                                        runtime::ThreadPool* pool = nullptr);
+                                        runtime::TaskScheduler* rt = nullptr);
 
 }  // namespace cuttlefish::workloads

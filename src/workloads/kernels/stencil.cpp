@@ -70,9 +70,9 @@ void heat_step_seq(const Grid2D& in, Grid2D& out) {
   heat_rows(in, out, 1, in.rows() - 1);
 }
 
-void heat_step_ws(runtime::ThreadPool& pool, const Grid2D& in, Grid2D& out) {
-  runtime::parallel_for_blocked(
-      pool, 1, in.rows() - 1,
+void heat_step_ws(runtime::TaskScheduler& rt, const Grid2D& in, Grid2D& out) {
+  runtime::parallel_for_static(
+      rt, 1, in.rows() - 1,
       [&](int64_t r0, int64_t r1) { heat_rows(in, out, r0, r1); });
 }
 
@@ -97,11 +97,11 @@ void sor_sweep_seq(Grid2D& grid, double omega) {
   sor_rows(grid, omega, 1, 1, grid.rows() - 1);
 }
 
-void sor_sweep_ws(runtime::ThreadPool& pool, Grid2D& grid, double omega) {
+void sor_sweep_ws(runtime::TaskScheduler& rt, Grid2D& grid, double omega) {
   for (int colour = 0; colour < 2; ++colour) {
-    runtime::parallel_for_blocked(
-        pool, 1, grid.rows() - 1, [&grid, omega, colour](int64_t r0,
-                                                         int64_t r1) {
+    runtime::parallel_for_static(
+        rt, 1, grid.rows() - 1, [&grid, omega, colour](int64_t r0,
+                                                       int64_t r1) {
           sor_rows(grid, omega, colour, r0, r1);
         });
   }
@@ -117,18 +117,6 @@ void sor_sweep_tasks(runtime::TaskScheduler& rt, Grid2D& grid, double omega,
                                   sor_rows(grid, omega, colour, r0, r1);
                                 });
     });
-  }
-}
-
-void sor_sweep_lbs(runtime::TaskScheduler& rt, Grid2D& grid, double omega,
-                   int64_t grain) {
-  for (int colour = 0; colour < 2; ++colour) {
-    runtime::parallel_for_blocked(
-        rt, 1, grid.rows() - 1,
-        [&grid, omega, colour](int64_t r0, int64_t r1) {
-          sor_rows(grid, omega, colour, r0, r1);
-        },
-        grain);
   }
 }
 

@@ -6,7 +6,6 @@
 #include "runtime/dag.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/scheduler.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace cuttlefish::workloads {
 
@@ -37,24 +36,22 @@ class Grid2D {
 /// One Jacobi heat-diffusion step (the paper's Heat benchmark [35]):
 /// out(r,c) = average of the four neighbours of in. Interior only.
 void heat_step_seq(const Grid2D& in, Grid2D& out);
-void heat_step_ws(runtime::ThreadPool& pool, const Grid2D& in, Grid2D& out);
+/// Work-sharing variant: the static-partition loop on the task runtime.
+void heat_step_ws(runtime::TaskScheduler& rt, const Grid2D& in, Grid2D& out);
 /// Task-DAG variant over row ranges (rt = regular tree, irt = irregular).
 void heat_step_tasks(runtime::TaskScheduler& rt, const Grid2D& in,
                      Grid2D& out, runtime::DagShape shape,
                      int64_t grain = 16);
-/// Loop variant on the task runtime (lazy binary splitting): the same
-/// iteration space as heat_step_ws but scheduled on TaskScheduler, so loop
-/// and DAG phases of one application share a single pool of workers.
+/// Loop variant split by lazy binary splitting instead of the static
+/// partition: the same iteration space as heat_step_ws.
 void heat_step_lbs(runtime::TaskScheduler& rt, const Grid2D& in, Grid2D& out,
                    int64_t grain = 16);
 
 /// One red-black successive-over-relaxation sweep (the paper's SOR
 /// benchmark [7]) with relaxation factor omega; updates in place.
 void sor_sweep_seq(Grid2D& grid, double omega);
-void sor_sweep_ws(runtime::ThreadPool& pool, Grid2D& grid, double omega);
+void sor_sweep_ws(runtime::TaskScheduler& rt, Grid2D& grid, double omega);
 void sor_sweep_tasks(runtime::TaskScheduler& rt, Grid2D& grid, double omega,
                      runtime::DagShape shape, int64_t grain = 16);
-void sor_sweep_lbs(runtime::TaskScheduler& rt, Grid2D& grid, double omega,
-                   int64_t grain = 16);
 
 }  // namespace cuttlefish::workloads

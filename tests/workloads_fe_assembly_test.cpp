@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "runtime/scheduler.hpp"
+
 namespace cuttlefish::workloads {
 namespace {
 
@@ -67,10 +69,10 @@ TEST(FeAssembly, DeepInteriorRowsHave27PointConnectivity) {
 }
 
 TEST(FeAssembly, ParallelAssemblyMatchesSequential) {
-  runtime::ThreadPool pool(4);
+  runtime::TaskScheduler rt(4);
   FeMesh mesh{5, 4, 6};
   const CsrMatrix seq = assemble_poisson(mesh);
-  const CsrMatrix par = assemble_poisson(mesh, &pool);
+  const CsrMatrix par = assemble_poisson(mesh, &rt);
   ASSERT_EQ(seq.nonzeros(), par.nonzeros());
   ASSERT_EQ(seq.row_ptr, par.row_ptr);
   ASSERT_EQ(seq.col_idx, par.col_idx);
@@ -108,11 +110,11 @@ TEST(FeAssembly, SolvePipelineRecoversManufacturedSolution) {
 }
 
 TEST(FeAssembly, ParallelSolveMatchesSequential) {
-  runtime::ThreadPool pool(4);
+  runtime::TaskScheduler rt(4);
   FeMesh mesh{6, 6, 6};
   const FeSolveResult seq = minife_assemble_and_solve(mesh, 500, 1e-10);
   const FeSolveResult par =
-      minife_assemble_and_solve(mesh, 500, 1e-10, &pool);
+      minife_assemble_and_solve(mesh, 500, 1e-10, &rt);
   EXPECT_TRUE(par.converged);
   EXPECT_EQ(seq.cg_iterations, par.cg_iterations);
   EXPECT_NEAR(seq.solution_error, par.solution_error, 1e-12);

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "runtime/scheduler.hpp"
-#include "runtime/thread_pool.hpp"
 #include "workloads/kernels/amg.hpp"
 #include "workloads/kernels/cg.hpp"
 #include "workloads/kernels/stencil.hpp"
@@ -53,23 +52,25 @@ Grid2D hot_plate(int64_t n) {
 }
 
 TEST(Heat, WsMatchesSequential) {
-  runtime::ThreadPool pool(4);
+  runtime::TaskScheduler rt(4);
   Grid2D in = hot_plate(65);
   Grid2D out_seq(65, 65), out_ws(65, 65);
   heat_step_seq(in, out_seq);
-  heat_step_ws(pool, in, out_ws);
+  heat_step_ws(rt, in, out_ws);
   EXPECT_EQ(out_seq.max_abs_diff(out_ws), 0.0);
 }
 
 TEST(Heat, TaskVariantsMatchSequential) {
   runtime::TaskScheduler rt(4);
   Grid2D in = hot_plate(65);
-  Grid2D out_seq(65, 65), out_rt(65, 65), out_irt(65, 65);
+  Grid2D out_seq(65, 65), out_rt(65, 65), out_irt(65, 65), out_lbs(65, 65);
   heat_step_seq(in, out_seq);
   heat_step_tasks(rt, in, out_rt, runtime::DagShape::kRegular);
   heat_step_tasks(rt, in, out_irt, runtime::DagShape::kIrregular);
+  heat_step_lbs(rt, in, out_lbs);
   EXPECT_EQ(out_seq.max_abs_diff(out_rt), 0.0);
   EXPECT_EQ(out_seq.max_abs_diff(out_irt), 0.0);
+  EXPECT_EQ(out_seq.max_abs_diff(out_lbs), 0.0);
 }
 
 TEST(Heat, DiffusionConvergesTowardsLinearProfile) {
@@ -89,12 +90,12 @@ TEST(Heat, DiffusionConvergesTowardsLinearProfile) {
 }
 
 TEST(Sor, WsMatchesSequential) {
-  runtime::ThreadPool pool(4);
+  runtime::TaskScheduler rt(4);
   Grid2D a = hot_plate(65);
   Grid2D b = hot_plate(65);
   for (int i = 0; i < 5; ++i) {
     sor_sweep_seq(a, 1.5);
-    sor_sweep_ws(pool, b, 1.5);
+    sor_sweep_ws(rt, b, 1.5);
   }
   EXPECT_LT(a.max_abs_diff(b), 1e-12);
 }
@@ -142,12 +143,18 @@ TEST(Cg, SolvesPoissonSystem) {
 }
 
 TEST(Cg, ParallelMatchesSequential) {
-  runtime::ThreadPool pool(4);
+  runtime::TaskScheduler rt(4);
   Poisson3D op{10, 10, 10};
   MiniFeResult seq = minife_solve(op, 500, 1e-10, nullptr);
-  MiniFeResult par = minife_solve(op, 500, 1e-10, &pool);
+  MiniFeResult par = minife_solve(op, 500, 1e-10, &rt);
   EXPECT_TRUE(par.cg.converged);
   EXPECT_NEAR(par.solution_error, seq.solution_error, 1e-9);
+  // The dot products add one partial per static chunk in chunk order, so
+  // the solve's bytes are fixed at a fixed worker count. These are its
+  // bytes at 4 workers.
+  EXPECT_EQ(par.cg.iterations, 23);
+  EXPECT_EQ(par.cg.residual_norm, 0x1.e6205dbc73a0cp-39);
+  EXPECT_EQ(par.solution_error, 0x1.7c4e6p-44);
 }
 
 TEST(Cg, IterationCountScalesWithGrid) {
@@ -200,11 +207,11 @@ TEST(Amg, HierarchyDepthMatchesGridSize) {
 }
 
 TEST(Amg, ParallelSmootherMatchesSequential) {
-  runtime::ThreadPool pool(4);
+  runtime::TaskScheduler rt(4);
   const int64_t n = 33;
   std::vector<double> f(static_cast<size_t>(n * n), 1.0);
   Multigrid2D seq(n, nullptr);
-  Multigrid2D par(n, &pool);
+  Multigrid2D par(n, &rt);
   std::vector<double> u1, u2;
   const auto r1 = seq.solve(f, u1, 12, 1e-9);
   const auto r2 = par.solve(f, u2, 12, 1e-9);
