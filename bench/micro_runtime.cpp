@@ -1,37 +1,57 @@
-// Runtime hot-path microbenchmarks: spawn+execute throughput, recursive
-// fib-style spawn trees, steal behaviour and quiesce (finish round-trip)
-// latency — for the slab/eventcount TaskScheduler against the seed's
-// std::function + operator new + mutex-injection + 50µs-condvar-poll
-// design (reproduced below as LegacyScheduler). Results go to
-// BENCH_runtime.json so the before/after claim is recorded next to the
-// paper-facing BENCH files.
+// Runtime hot-path microbenchmarks, in two sections.
 //
-// Self-contained (no google-benchmark): run ./micro_runtime [out.json].
+// Hot path: spawn+execute throughput, recursive fib-style spawn trees,
+// steal behaviour and quiesce (finish round-trip) latency — for the
+// slab/eventcount TaskScheduler against the seed's std::function +
+// operator new + mutex-injection + 50µs-condvar-poll design (reproduced
+// below as LegacyScheduler).
+//
+// Kernels: the paper's fine-grained kernels at 1, 2 and 4 workers against
+// the sequential code they parallelise — UTS with 44,000 root children,
+// and heat 257² for 100 steps in its lbs, irt and ws decompositions.
+// Every timed run's output is checked against the sequential result; a
+// mismatch exits non-zero. CF_BENCH_GATE=1 also enforces ROADMAP item 1's
+// gates: heat lbs and irt beat heat_step_seq at 2 and 4 workers, and UTS
+// at 4 workers is at least 2x faster than at 1 worker and faster than the
+// sequential walk.
+//
+// Results, with host, compiler, build type and git sha, go to
+// BENCH_runtime.json next to the paper-facing BENCH files.
+//
+// Self-contained (no google-benchmark): run ./micro_runtime [out.json]
+// from the checkout (the sha comes from `git describe --always --dirty`).
 // CF_BENCH_SMOKE=1 shrinks the workload for CI smoke runs;
-// CF_BENCH_THREADS overrides the worker count.
+// CF_BENCH_THREADS overrides the hot-path section's worker count.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "runtime/deque.hpp"
 #include "runtime/scheduler.hpp"
+#include "workloads/kernels/stencil.hpp"
+#include "workloads/kernels/uts.hpp"
 
 namespace {
 
 using cuttlefish::SplitMix64;
 using cuttlefish::runtime::ChaseLevDeque;
+using cuttlefish::runtime::DagShape;
 using cuttlefish::runtime::TaskScheduler;
+using cuttlefish::workloads::Grid2D;
 
 double now_s() {
   return std::chrono::duration<double>(
@@ -262,6 +282,210 @@ struct Numbers {
   double quiesce_us = 0;
 };
 
+// --- kernels vs their sequential loops --------------------------------------
+
+constexpr int64_t kHeatN = 257;
+constexpr int kHeatSteps = 100;
+constexpr int kUtsRootChildren = 44000;
+constexpr uint64_t kUtsSeed = 1000;
+constexpr int kKernelWorkers[] = {1, 2, 4};
+constexpr const char* kKernelWorkerKeys[] = {"w1", "w2", "w4"};
+constexpr const char* kSeqKeys[] = {"seq_w1", "seq_w2", "seq_w4"};
+
+/// Quartiles of a cell's run times (nearest rank).
+struct Spread {
+  double p25 = 0, p50 = 0, p75 = 0;
+};
+
+Spread spread_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  auto at = [&v](double q) {
+    return v[static_cast<size_t>(q * static_cast<double>(v.size() - 1) + 0.5)];
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
+
+void mismatch(const char* kernel, int workers) {
+  std::fprintf(stderr, "%s at %d workers disagrees with the sequential "
+               "kernel\n", kernel, workers);
+  std::exit(1);
+}
+
+/// Heat 257² with a hot top row; `step(in, out)` advances one step.
+class HeatProblem {
+ public:
+  HeatProblem() : initial_(kHeatN, kHeatN, 0.0) {
+    for (int64_t c = 0; c < kHeatN; ++c) initial_.at(0, c) = 100.0;
+  }
+
+  /// Runs kHeatSteps steps from the initial grid; returns the elapsed ms
+  /// and leaves the result's checksum in *checksum.
+  template <typename Step>
+  double run(Step&& step, double* checksum) const {
+    Grid2D a = initial_;
+    Grid2D b = initial_;
+    const double t0 = now_s();
+    for (int s = 0; s < kHeatSteps; ++s) {
+      step(a, b);
+      std::swap(a, b);
+    }
+    const double ms = (now_s() - t0) * 1e3;
+    *checksum = a.checksum();
+    return ms;
+  }
+
+ private:
+  Grid2D initial_;
+};
+
+struct KernelRow {
+  const char* name = "";
+  Spread ms[3];      // at kKernelWorkers
+  Spread seq_ms[3];  // its sequential loop, same block
+};
+
+/// Times every kernel at each worker count against its sequential loop,
+/// one pool at a time. Within a worker count's block, runs go
+/// round-robin over the sequential and the parallel kernels, `reps`
+/// rounds after one untimed warm-up round, so drift in the host's speed
+/// hits a kernel and its sequential loop alike. Each cell reports its
+/// quartiles; each run returns its own elapsed ms, so set-up such as grid
+/// resets stays untimed.
+std::vector<KernelRow> bench_kernels(int reps) {
+  namespace wl = cuttlefish::workloads;
+  using Step = std::function<void(const Grid2D&, Grid2D&)>;
+  const HeatProblem heat;
+  wl::UtsParams uts;
+  uts.root_seed = kUtsSeed;
+  uts.root_branching = kUtsRootChildren;
+  const uint64_t uts_ref = wl::uts_count_sequential(uts);
+  const Step seq_step = wl::heat_step_seq;
+  double heat_ref = 0;
+  heat.run(seq_step, &heat_ref);
+
+  auto time_uts = [&](TaskScheduler* rt, int workers) {
+    const double t0 = now_s();
+    const uint64_t nodes = rt == nullptr ? wl::uts_count_sequential(uts)
+                                         : wl::uts_count_parallel(*rt, uts);
+    const double ms = (now_s() - t0) * 1e3;
+    if (nodes != uts_ref) mismatch("uts", workers);
+    return ms;
+  };
+  auto time_heat = [&](const Step& step, const char* name, int workers) {
+    double sum = 0;
+    const double ms = heat.run(step, &sum);
+    if (sum != heat_ref) mismatch(name, workers);
+    return ms;
+  };
+
+  std::vector<KernelRow> rows(4);
+  const char* const names[] = {"uts", "heat_lbs", "heat_irt", "heat_ws"};
+  for (size_t v = 0; v < rows.size(); ++v) rows[v].name = names[v];
+  for (int k = 0; k < 3; ++k) {
+    const int workers = kKernelWorkers[k];
+    TaskScheduler rt(workers);
+    const Step steps[] = {
+        [&rt](const Grid2D& in, Grid2D& out) {
+          wl::heat_step_lbs(rt, in, out);
+        },
+        [&rt](const Grid2D& in, Grid2D& out) {
+          wl::heat_step_tasks(rt, in, out, DagShape::kIrregular);
+        },
+        [&rt](const Grid2D& in, Grid2D& out) {
+          wl::heat_step_ws(rt, in, out);
+        }};
+    // One cell per timed configuration: the number it fills in and the run.
+    Spread uts_seq, heat_seq;
+    std::vector<std::pair<Spread*, std::function<double()>>> cells;
+    cells.emplace_back(&uts_seq, [&] { return time_uts(nullptr, 1); });
+    cells.emplace_back(&rows[0].ms[k],
+                       [&] { return time_uts(&rt, workers); });
+    cells.emplace_back(&heat_seq,
+                       [&] { return time_heat(seq_step, "heat_seq", 1); });
+    for (size_t v = 0; v < 3; ++v) {
+      KernelRow& row = rows[v + 1];
+      cells.emplace_back(&row.ms[k], [&, v] {
+        return time_heat(steps[v], row.name, workers);
+      });
+    }
+    std::vector<std::vector<double>> samples(cells.size());
+    for (int r = -1; r < reps; ++r) {
+      for (size_t c = 0; c < cells.size(); ++c) {
+        const double ms = cells[c].second();
+        if (r >= 0) samples[c].push_back(ms);
+      }
+    }
+    for (size_t c = 0; c < cells.size(); ++c) {
+      *cells[c].first = spread_of(std::move(samples[c]));
+    }
+    rows[0].seq_ms[k] = uts_seq;
+    for (size_t v = 1; v < rows.size(); ++v) rows[v].seq_ms[k] = heat_seq;
+  }
+  return rows;
+}
+
+/// ROADMAP item 1's kernel gates, each against the sequential loop timed
+/// in the same block; prints each and returns true when all hold. rows:
+/// uts, heat_lbs, heat_irt, heat_ws; ms[] at 1, 2, 4 workers.
+bool kernel_gates_hold(const std::vector<KernelRow>& rows) {
+  bool ok = true;
+  auto gate = [&ok](bool pass, const std::string& what) {
+    std::printf("  gate %-4s %s\n", pass ? "ok" : "FAIL", what.c_str());
+    ok = ok && pass;
+  };
+  char buf[160];
+  for (size_t v = 1; v <= 2; ++v) {
+    for (int k = 1; k < 3; ++k) {
+      const double ms = rows[v].ms[k].p50, seq = rows[v].seq_ms[k].p50;
+      std::snprintf(buf, sizeof(buf), "%s at %d workers %.2f ms < seq %.2f ms",
+                    rows[v].name, kKernelWorkers[k], ms, seq);
+      gate(ms < seq, buf);
+    }
+  }
+  const double w1 = rows[0].ms[0].p50, w4 = rows[0].ms[2].p50;
+  const double seq4 = rows[0].seq_ms[2].p50;
+  std::snprintf(buf, sizeof(buf), "uts 4 workers %.2f ms <= 1 worker %.2f ms / 2",
+                w4, w1);
+  gate(2.0 * w4 <= w1, buf);
+  std::snprintf(buf, sizeof(buf), "uts 4 workers %.2f ms < seq %.2f ms", w4,
+                seq4);
+  gate(w4 < seq4, buf);
+  return ok;
+}
+
+std::string quartiles_json(const Spread& s) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "[%.3f, %.3f, %.3f]", s.p25, s.p50, s.p75);
+  return buf;
+}
+
+// --- provenance ---------------------------------------------------------------
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos) return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+std::string git_sha() {
+  std::string sha;
+  if (FILE* p = popen("git describe --always --dirty 2>/dev/null", "r")) {
+    char buf[64] = {};
+    if (std::fgets(buf, sizeof(buf), p) != nullptr) sha = buf;
+    pclose(p);
+  }
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == ' ')) {
+    sha.pop_back();
+  }
+  return sha.empty() ? "unknown" : sha;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -323,8 +547,32 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(slab_blocks),
               static_cast<unsigned long long>(heap_fallbacks));
 
+  const int kernel_reps = smoke ? 3 : 21;
+  const std::vector<KernelRow> kernels = bench_kernels(kernel_reps);
+  std::printf("  kernels, median of %d runs (ms), (seq) timed in the same "
+              "block:\n                  1w   (seq)       2w   (seq)       "
+              "4w   (seq)\n", kernel_reps);
+  for (const KernelRow& k : kernels) {
+    std::printf("    %-9s", k.name);
+    for (int w = 0; w < 3; ++w) {
+      std::printf(" %7.2f (%5.2f)", k.ms[w].p50, k.seq_ms[w].p50);
+    }
+    std::printf("\n");
+  }
+  const bool gate = std::getenv("CF_BENCH_GATE") != nullptr;
+  const bool gates_hold = kernel_gates_hold(kernels);
+
   const std::string out = argc > 1 ? argv[1] : "BENCH_runtime.json";
   cuttlefish::benchharness::JsonWriter json;
+  {
+    cuttlefish::benchharness::JsonWriter p;
+    p.field("cpu_model", cpu_model());
+    p.field("nproc", cuttlefish::runtime::default_thread_count());
+    p.field("compiler", std::string(CF_BENCH_COMPILER));
+    p.field("build_type", std::string(CF_BENCH_BUILD_TYPE));
+    p.field("git_sha", git_sha());
+    json.raw("provenance", p.compact());
+  }
   json.field("threads", threads);
   json.field("smoke", smoke);
   {
@@ -352,5 +600,25 @@ int main(int argc, char** argv) {
     s.field("tree", tree_x, 3);
     json.raw("speedup", s.compact());
   }
-  return json.write(out) ? 0 : 1;
+  {
+    cuttlefish::benchharness::JsonWriter k;
+    k.field("reps", kernel_reps);
+    k.field("statistic", std::string("[p25, median, p75] ms"));
+    for (const KernelRow& row : kernels) {
+      cuttlefish::benchharness::JsonWriter r;
+      for (int w = 0; w < 3; ++w) {
+        r.raw(kKernelWorkerKeys[w], quartiles_json(row.ms[w]));
+        r.raw(kSeqKeys[w], quartiles_json(row.seq_ms[w]));
+      }
+      k.raw(row.name, r.compact());
+    }
+    k.field("gates_hold", gates_hold);
+    json.raw("kernels", k.compact());
+  }
+  if (!json.write(out)) return 1;
+  if (gate && !gates_hold) {
+    std::fprintf(stderr, "micro_runtime: kernel gate failed\n");
+    return 1;
+  }
+  return 0;
 }

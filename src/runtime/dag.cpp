@@ -1,7 +1,5 @@
 #include "runtime/dag.hpp"
 
-#include <memory>
-
 #include "common/assert.hpp"
 
 namespace cuttlefish::runtime {
@@ -20,17 +18,20 @@ int node_degree(DagShape shape, int depth, int64_t lo) {
              : 5;
 }
 
+// Shared by every task of one tree; lives on the calling thread's stack,
+// which outlives all tasks because the caller stays in finish() until
+// every task completed. Tasks capture {ctx, lo, hi, depth}: no per-task
+// reference count on a shared line.
 struct TreeContext {
   TaskScheduler* rt;
   int64_t grain;
   DagShape shape;
-  std::function<void(int64_t, int64_t)> leaf;
+  const std::function<void(int64_t, int64_t)>* leaf;
 };
 
-void spawn_node(const std::shared_ptr<TreeContext>& ctx, int64_t lo,
-                int64_t hi, int depth) {
+void spawn_node(const TreeContext* ctx, int64_t lo, int64_t hi, int depth) {
   if (hi - lo <= ctx->grain) {
-    ctx->leaf(lo, hi);
+    (*ctx->leaf)(lo, hi);
     return;
   }
   const int degree = node_degree(ctx->shape, depth, lo);
@@ -64,14 +65,13 @@ int64_t count_node(int64_t lo, int64_t hi, int64_t grain, DagShape shape,
 
 }  // namespace
 
-void spawn_range_tree(TaskScheduler& rt, int64_t begin, int64_t end,
-                      int64_t grain, DagShape shape,
-                      std::function<void(int64_t, int64_t)> leaf) {
+void run_range_tree(TaskScheduler& rt, int64_t begin, int64_t end,
+                    int64_t grain, DagShape shape,
+                    const std::function<void(int64_t, int64_t)>& leaf) {
   CF_ASSERT(grain > 0, "grain must be positive");
   if (begin >= end) return;
-  auto ctx = std::make_shared<TreeContext>(
-      TreeContext{&rt, grain, shape, std::move(leaf)});
-  spawn_node(ctx, begin, end, 0);
+  const TreeContext ctx{&rt, grain, shape, &leaf};
+  rt.finish([&ctx, begin, end] { spawn_node(&ctx, begin, end, 0); });
 }
 
 int64_t range_tree_task_count(int64_t begin, int64_t end, int64_t grain,

@@ -17,11 +17,12 @@ namespace cuttlefish::runtime {
 ///            (grey and black nodes of Fig. 1) — the `irt` variants.
 enum class DagShape { kRegular, kIrregular };
 
-/// Recursively spawn `leaf(lo, hi)` tasks over [begin, end) with the given
-/// DAG shape. Must be called from inside a scheduler task / finish root.
-void spawn_range_tree(TaskScheduler& rt, int64_t begin, int64_t end,
-                      int64_t grain, DagShape shape,
-                      std::function<void(int64_t, int64_t)> leaf);
+/// Run `leaf(lo, hi)` tasks over [begin, end) as a spawn tree of the
+/// given DAG shape, under its own finish scope: like parallel_for, call
+/// it from outside the pool; it returns once every leaf ran.
+void run_range_tree(TaskScheduler& rt, int64_t begin, int64_t end,
+                    int64_t grain, DagShape shape,
+                    const std::function<void(int64_t, int64_t)>& leaf);
 
 /// Number of tasks such a tree creates (test hook; leaves + internals).
 int64_t range_tree_task_count(int64_t begin, int64_t end, int64_t grain,

@@ -8,10 +8,11 @@
 namespace cuttlefish::runtime {
 
 /// Eventcount: the sleep half of the scheduler's spin -> yield -> park idle
-/// protocol. Producers pay one uncontended atomic add plus one load per
-/// notify when nobody is parked — no mutex, no syscall — which is what
-/// makes signalling on *every* spawn affordable (the seed runtime paid a
-/// futex wake per spawn via an unconditional condition_variable notify).
+/// protocol. When nobody is parked a notify costs one fence and one load
+/// of a read-mostly waiter count — no shared write, no mutex, no syscall —
+/// which is what makes signalling on *every* spawn affordable (the seed
+/// runtime paid a futex wake per spawn via an unconditional
+/// condition_variable notify).
 ///
 /// Waiter protocol (the usual eventcount three-step):
 ///   1. ticket = prepare_wait()        — announce intent to sleep
@@ -19,18 +20,21 @@ namespace cuttlefish::runtime {
 ///   3. commit_wait(ticket)            — sleep, or cancel_wait() if work
 ///      appeared in step 2
 ///
-/// Correctness argument (why no wakeup is lost): notify() bumps the epoch
-/// *after* the producer has published work, and waiters read their ticket
-/// *before* the final recheck; both epoch and waiter count are seq_cst. If
-/// the waiter's recheck missed the new work, the producer's epoch bump must
-/// be ordered after the waiter's ticket read, so either commit_wait sees a
-/// changed epoch and returns immediately, or the producer saw the waiter
-/// count and takes the slow notify path under the mutex.
+/// Correctness argument (why no wakeup is lost): the producer publishes
+/// work, then issues a seq_cst fence and reads the waiter count; the
+/// waiter bumps the waiter count and reads its ticket, then issues a
+/// seq_cst fence before its recheck. Whichever fence comes second in the
+/// total order sees the other side's write: either the recheck finds the
+/// work, or the producer sees the waiter and bumps the epoch. That bump is
+/// ordered after the waiter's ticket read, so commit_wait either sees a
+/// changed epoch and returns, or sleeps under the mutex and is notified.
 class EventCount {
  public:
   uint64_t prepare_wait() {
     waiters_.fetch_add(1, std::memory_order_seq_cst);
-    return epoch_.load(std::memory_order_seq_cst);
+    const uint64_t ticket = epoch_.load(std::memory_order_seq_cst);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    return ticket;
   }
 
   void cancel_wait() { waiters_.fetch_sub(1, std::memory_order_seq_cst); }
@@ -48,8 +52,9 @@ class EventCount {
 
  private:
   void notify(bool all) {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (waiters_.load(std::memory_order_relaxed) == 0) return;  // fast path
     epoch_.fetch_add(1, std::memory_order_seq_cst);
-    if (waiters_.load(std::memory_order_seq_cst) == 0) return;  // fast path
     {
       // Taking the mutex orders the notify against a waiter that has
       // passed its predicate check but not yet blocked.

@@ -61,7 +61,8 @@ double parallel_reduce(TaskScheduler& rt, int64_t begin, int64_t end,
 namespace {
 
 // Shared by every task of one loop; lives on the calling thread's stack,
-// which outlives all tasks because the caller blocks in finish().
+// which outlives all tasks because the caller stays in finish() until
+// every task completed.
 struct LoopCtx {
   TaskScheduler* rt;
   const std::function<void(int64_t, int64_t)>* body;

@@ -1,12 +1,10 @@
 #include "runtime/scheduler.hpp"
 
-#include "common/assert.hpp"
-
 namespace cuttlefish::runtime {
 
 namespace detail {
-thread_local TaskScheduler* t_scheduler = nullptr;
-thread_local int t_worker_id = -1;
+constinit thread_local TaskScheduler* t_scheduler = nullptr;
+constinit thread_local int t_worker_id = -1;
 }  // namespace detail
 
 using detail::t_scheduler;
@@ -23,12 +21,12 @@ inline void cpu_pause() {
 }
 
 // Idle protocol tuning. A worker that finds nothing retries the full
-// acquire path (pop -> drain injection -> backed-off steals) kSpinRounds
-// times, then yields to the OS kYieldRounds times, then parks on the
-// eventcount. Steal attempts inside one acquire pass back off
-// exponentially (1, 2, 4, ... pauses) instead of the seed's fixed 2*n
-// sweep, so a starved pool ramps down its cache-line traffic instead of
-// hammering every victim's top pointer.
+// acquire path (pop -> backed-off steals) kSpinRounds times, then yields
+// to the OS kYieldRounds times, then parks on the eventcount. Steal
+// attempts inside one acquire pass back off exponentially (1, 2, 4, ...
+// pauses) instead of the seed's fixed 2*n sweep, so a starved pool ramps
+// down its cache-line traffic instead of hammering every victim's top
+// pointer.
 constexpr int kSpinRounds = 2;
 constexpr int kYieldRounds = 16;
 constexpr int kStealAttempts = 8;
@@ -51,71 +49,33 @@ TaskScheduler::TaskScheduler(int threads) : thread_count_(threads) {
     w->rng = SplitMix64(0x7a5c3ULL + static_cast<uint64_t>(i));
     slots_.push_back(std::move(w));
   }
-  workers_.reserve(static_cast<size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
+  // Slot 0 belongs to whichever thread is inside finish().
+  workers_.reserve(static_cast<size_t>(threads - 1));
+  for (int i = 1; i < threads; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
 }
 
 TaskScheduler::~TaskScheduler() {
+  // Every finish ran to quiescence and async() needs an open scope, so
+  // the deques are empty; the slabs reclaim the nodes wholesale.
   shutdown_.store(true, std::memory_order_seq_cst);
   idle_.notify_all();
   for (auto& t : workers_) t.join();
-  // Destroy anything never executed (shutdown mid-finish is a programming
-  // error, but bound callables must still have their destructors run; the
-  // nodes themselves are reclaimed wholesale by the slab destructors).
-  for (TaskNode* n = injected_.drain(); n != nullptr;) {
-    TaskNode* next = n->next;
-    n->destroy();
-    n = next;
-  }
-  TaskNode* task = nullptr;
-  for (auto& slot : slots_) {
-    while (slot->deque.pop(task)) task->destroy();
-  }
 }
 
 void TaskScheduler::reserve(int per_worker) {
   CF_ASSERT(per_worker >= 0, "reserve needs a non-negative count");
   for (auto& w : slots_) w->slab.reserve(static_cast<size_t>(per_worker));
-  external_slab_.reserve(static_cast<size_t>(per_worker));
-}
-
-TaskNode* TaskScheduler::allocate_external() {
-  // External spawns (finish roots, control-plane threads) are off the hot
-  // path; their slab's owner ops are serialised by a mutex. Workers still
-  // free these nodes lock-free via the slab's remote-return stack.
-  std::lock_guard<std::mutex> lock(external_mutex_);
-  return external_slab_.allocate();
-}
-
-bool TaskScheduler::drain_injected(int id) {
-  TaskNode* chain = injected_.drain();
-  if (chain == nullptr) return false;
-  Worker& self = *slots_[static_cast<size_t>(id)];
-  int moved = 0;
-  while (chain != nullptr) {
-    TaskNode* next = chain->next;
-    // Chain is newest-first; pushing in traversal order leaves the oldest
-    // at the bottom of the deque where the owner pops first.
-    self.deque.push(chain);
-    chain = next;
-    ++moved;
-  }
-  if (moved > 1) idle_.notify_all();  // surplus work is up for stealing
-  return true;
 }
 
 void TaskScheduler::run_task(Worker& w, TaskNode* task) {
   task->execute();
   TaskSlab::release(task, &w.slab);
-  // Count before the pending_ decrement: once pending_ hits zero,
-  // finish() returns and may read stats() immediately.
-  w.bump(w.executed);
-  if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(quiesce_mutex_);
-    quiesce_cv_.notify_all();
-  }
+  // Release store, after the slab release: a finisher that acquires this
+  // count sees the task's effects and spawns, and no later access to the
+  // node by this worker.
+  w.bump(w.completed, std::memory_order_release);
 }
 
 bool TaskScheduler::try_run_one(int id) {
@@ -123,14 +83,10 @@ bool TaskScheduler::try_run_one(int id) {
   TaskNode* task = nullptr;
   if (self.deque.pop(task)) {
     // Burst: drain the local deque without returning to the outer loop —
-    // thieves and the injection drain handle redistribution meanwhile.
+    // thieves handle redistribution meanwhile.
     do {
       run_task(self, task);
     } while (self.deque.pop(task));
-    return true;
-  }
-  if (drain_injected(id) && self.deque.pop(task)) {
-    run_task(self, task);
     return true;
   }
   const int n = size();
@@ -147,6 +103,9 @@ bool TaskScheduler::try_run_one(int id) {
         return true;
       }
     }
+    // Slot 0 is the finisher: it stops stealing once the scope is
+    // quiescent, so finish() returns without sitting out the backoff.
+    if (id == 0 && quiescent()) return false;
     for (int p = 0; p < delay; ++p) cpu_pause();
     if (delay < kMaxPauseDelay) delay *= 2;
   }
@@ -163,6 +122,34 @@ bool TaskScheduler::victims_look_nonempty(int id) const {
   return false;
 }
 
+bool TaskScheduler::quiescent() const {
+  // Completions first, then spawns. A task is spawned before it
+  // completes, and its children are spawned before it completes, so every
+  // completion counted here has its spawn — and its children's spawns —
+  // counted by the second sum. Equal sums therefore mean every counted
+  // spawn completed, the root's subtree included.
+  uint64_t completed = 0;
+  for (const auto& w : slots_) {
+    completed += w->completed.load(std::memory_order_acquire);
+  }
+  uint64_t spawned = 0;
+  for (const auto& w : slots_) {
+    spawned += w->spawned.load(std::memory_order_relaxed);
+  }
+  return completed == spawned;
+}
+
+void TaskScheduler::wake_parked_finisher() {
+  // Pairs with the fence in the finisher's park path: either its
+  // quiescence recheck sees this worker's completions, or this load sees
+  // it parked. Costs one fence and one read of a read-mostly flag per
+  // idle round; counters are summed only while the finisher is parked.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (finisher_parked_.load(std::memory_order_relaxed) && quiescent()) {
+    idle_.notify_all();
+  }
+}
+
 void TaskScheduler::worker_loop(int id) {
   t_scheduler = this;
   t_worker_id = id;
@@ -173,6 +160,7 @@ void TaskScheduler::worker_loop(int id) {
       idle_rounds = 0;
       continue;
     }
+    wake_parked_finisher();
     // Spin -> yield -> park. The first rounds retry at full speed (work
     // often arrives within a steal round trip), then we yield the core,
     // and only then pay the futex sleep via the eventcount.
@@ -212,15 +200,54 @@ void TaskScheduler::worker_loop(int id) {
   t_scheduler = nullptr;
 }
 
-void TaskScheduler::finish_begin() {
-  CF_ASSERT(t_scheduler != this, "nested finish from inside a task");
+TaskScheduler::Worker& TaskScheduler::enter_finish() {
+  CF_ASSERT(t_scheduler == nullptr, "nested finish from inside a task");
+  CF_ASSERT(!finishing_.exchange(true, std::memory_order_acquire),
+            "one finish scope at a time: another thread is inside finish");
+  t_scheduler = this;
+  t_worker_id = 0;
+  return *slots_[0];
 }
 
-void TaskScheduler::finish_wait() {
-  std::unique_lock<std::mutex> lock(quiesce_mutex_);
-  quiesce_cv_.wait(lock, [this] {
-    return pending_.load(std::memory_order_acquire) == 0;
-  });
+void TaskScheduler::work_until_quiescent() noexcept {
+  // Worker 0's loop: the same acquire path and spin -> yield -> park
+  // schedule as worker_loop, plus the quiescence check on every idle
+  // round. noexcept: a task that throws ends the program, as on the pool
+  // threads.
+  Worker& self = *slots_[0];
+  int idle_rounds = 0;
+  for (;;) {
+    if (try_run_one(0)) {
+      idle_rounds = 0;
+      continue;
+    }
+    if (quiescent()) break;
+    ++idle_rounds;
+    if (idle_rounds <= kSpinRounds) continue;
+    if (idle_rounds <= kSpinRounds + kYieldRounds) {
+      std::this_thread::yield();
+      continue;
+    }
+    // Park until a spawn, or an idle worker that finds the scope
+    // quiescent, bumps the epoch. The flag is raised before the ticket's
+    // fence, so a worker whose last completion this recheck misses sees
+    // the flag (see wake_parked_finisher).
+    finisher_parked_.store(true, std::memory_order_relaxed);
+    const uint64_t ticket = idle_.prepare_wait();
+    const bool done = quiescent();
+    if (done || try_run_one(0) || victims_look_nonempty(0)) {
+      idle_.cancel_wait();
+    } else {
+      self.bump(self.parks);
+      idle_.commit_wait(ticket);
+    }
+    finisher_parked_.store(false, std::memory_order_relaxed);
+    if (done) break;
+    idle_rounds = 0;
+  }
+  t_scheduler = nullptr;
+  t_worker_id = -1;
+  finishing_.store(false, std::memory_order_release);
 }
 
 bool TaskScheduler::want_more_work() const {
@@ -231,13 +258,12 @@ bool TaskScheduler::want_more_work() const {
 TaskScheduler::Stats TaskScheduler::stats() const {
   Stats s;
   for (const auto& w : slots_) {
-    s.executed += w->executed.load(std::memory_order_relaxed);
+    s.executed += w->completed.load(std::memory_order_relaxed);
     s.steals += w->steals.load(std::memory_order_relaxed);
     s.steal_attempts += w->steal_attempts.load(std::memory_order_relaxed);
     s.parks += w->parks.load(std::memory_order_relaxed);
     s.slab_blocks += w->slab.blocks_allocated();
   }
-  s.slab_blocks += external_slab_.blocks_allocated();
   s.heap_fallbacks = heap_fallbacks_.load(std::memory_order_relaxed);
   return s;
 }

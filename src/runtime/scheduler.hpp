@@ -1,18 +1,16 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "runtime/deque.hpp"
 #include "runtime/eventcount.hpp"
-#include "runtime/inject_queue.hpp"
 #include "runtime/task_node.hpp"
 
 namespace cuttlefish::runtime {
@@ -20,11 +18,13 @@ namespace cuttlefish::runtime {
 class TaskScheduler;
 
 namespace detail {
-// Which scheduler (if any) owns the calling thread, and its worker id
-// there. Header-visible so the spawn fast path inlines fully into call
-// sites; defined in scheduler.cpp.
-extern thread_local TaskScheduler* t_scheduler;
-extern thread_local int t_worker_id;
+// Which scheduler (if any) the calling thread is working for, and its
+// worker id there. Header-visible so the spawn fast path inlines fully
+// into call sites; defined in scheduler.cpp. constinit lets other
+// translation units read them directly instead of through a TLS-init
+// wrapper call.
+extern constinit thread_local TaskScheduler* t_scheduler;
+extern constinit thread_local int t_worker_id;
 }  // namespace detail
 
 /// Async-finish work-stealing runtime in the style of HClib (the second
@@ -36,9 +36,14 @@ extern thread_local int t_worker_id;
 ///     rt.async([&] { ... rt.async(...); ... });
 ///   });
 ///
-/// finish() returns once the root and every transitively spawned task has
-/// completed. async() may only be called from inside a running task (or
-/// the finish root); it never blocks.
+/// As in HClib, the thread that calls finish() is worker 0 for the
+/// scope's duration: it runs the root, then pops, steals and runs tasks
+/// until the scope is quiescent, and only then returns. A pool of size n
+/// therefore starts n - 1 threads (workers 1..n-1). One finish scope is
+/// active at a time, opened by any thread that is not itself running a
+/// task; a second concurrent or a nested finish is a CF_ASSERT. async()
+/// may only be called from inside a running task or the finish root (also
+/// a CF_ASSERT); it never blocks.
 ///
 /// Hot-path guarantees (the paper's "negligible runtime overhead"
 /// precondition for attributing energy deltas to DVFS policy, not to the
@@ -51,16 +56,18 @@ extern thread_local int t_worker_id;
 ///    chains (task_node.hpp). Heap traffic occurs only while the live-task
 ///    high-water mark grows, or for callables over 48 bytes.
 ///
-///  * Lock-free external spawn. Threads outside the pool push into an
-///    intrusive Treiber injection queue (inject_queue.hpp); workers drain
-///    it wholesale with one exchange. No mutex on either side.
+///  * No shared write per task. Termination is counted per worker: each
+///    keeps monotone, single-writer `spawned` and `completed` counters,
+///    and the scope is quiescent when the sum of completions (read first)
+///    equals the sum of spawns (read second). Only the idle finisher sums
+///    them.
 ///
 ///  * Syscall-free signalling when busy. Spawns signal an eventcount
-///    (eventcount.hpp); when no worker is parked this costs two atomic
-///    ops and no futex wake. Idle workers run a spin -> yield -> park
-///    protocol with exponentially backed-off steal attempts, so an idle
-///    pool parks (paper §2: idle workers must not inflate the package
-///    power floor) while a loaded pool never touches the kernel.
+///    (eventcount.hpp), which writes shared state only when a worker is
+///    parked. Idle workers run a spin -> yield -> park protocol with
+///    exponentially backed-off steal attempts, so an idle pool parks
+///    (paper §2: idle workers must not inflate the package power floor)
+///    while a loaded pool never touches the kernel.
 class TaskScheduler {
  public:
   explicit TaskScheduler(int threads);
@@ -69,59 +76,57 @@ class TaskScheduler {
   TaskScheduler(const TaskScheduler&) = delete;
   TaskScheduler& operator=(const TaskScheduler&) = delete;
 
-  /// Worker count; fixed before any worker thread starts (reading
-  /// workers_.size() from workers would race with construction).
+  /// Worker count, the finish caller (worker 0) included; fixed before
+  /// any worker thread starts.
   int size() const { return thread_count_; }
 
-  /// Spawn a task into the calling worker's deque (or the lock-free
-  /// injection queue when called from outside the pool). The callable is
-  /// moved into slab-recycled storage; see class comment for the
-  /// allocation guarantees.
+  /// Spawn a task into the calling worker's deque. The callable is moved
+  /// into slab-recycled storage; see class comment for the allocation
+  /// guarantees.
   template <typename F>
   void async(F&& task) {
-    // Worker-local fast path, fully inline: slab pop, in-place bind, deque
-    // push — no locks, no allocation, and no signalling cost beyond the
-    // eventcount's two uncontended atomics (zero for a 1-worker pool,
-    // which has nobody to wake).
-    if (detail::t_scheduler == this) {
-      Worker& w = *slots_[static_cast<size_t>(detail::t_worker_id)];
-      TaskNode* node = w.slab.allocate();
-      node->bind(std::forward<F>(task), &heap_fallbacks_);
-      pending_.fetch_add(1, std::memory_order_relaxed);
-      w.deque.push(node);
-      if (thread_count_ > 1) idle_.notify_one();
-      return;
-    }
-    TaskNode* node = allocate_external();
+    // Fully inline: slab pop, in-place bind, counter bump, deque push —
+    // no locks, no allocation, and no signalling cost beyond a fence and
+    // one read of the eventcount's waiter count (none for a 1-worker
+    // pool, which has nobody to wake).
+    CF_ASSERT(detail::t_scheduler == this,
+              "async outside a finish scope of this scheduler");
+    Worker& w = *slots_[static_cast<size_t>(detail::t_worker_id)];
+    TaskNode* node = w.slab.allocate();
     node->bind(std::forward<F>(task), &heap_fallbacks_);
-    pending_.fetch_add(1, std::memory_order_relaxed);
-    injected_.push(node);
-    idle_.notify_one();
+    w.bump(w.spawned);
+    w.deque.push(node);
+    if (thread_count_ > 1) idle_.notify_one();
   }
 
-  /// Run `root` under a finish scope and wait for quiescence. Only one
-  /// finish scope is active at a time (matching the paper benchmarks'
-  /// single top-level finish); asyncs nest freely inside it.
+  /// Run `root` under a finish scope on the calling thread, as worker 0,
+  /// and return once it and every transitively spawned task completed.
+  /// A root that throws ends the program, like any task.
   template <typename F>
-  void finish(F&& root) {
-    finish_begin();
-    async(std::forward<F>(root));
-    finish_wait();
+  void finish(F&& root) noexcept {
+    Worker& self = enter_finish();
+    // The root runs inline as worker 0's first task: counted like any
+    // other task, but never stolen.
+    self.bump(self.spawned);
+    root();
+    self.bump(self.completed, std::memory_order_release);
+    work_until_quiescent();
   }
 
-  /// Pre-grow every worker's slab (and the external-spawn slab) so the
-  /// next `per_worker` allocations on each need no heap traffic. Optional:
-  /// slabs also grow organically on demand. Call before a measurement
-  /// region to get the zero-allocation guarantee from the first task.
+  /// Pre-grow every worker's slab so the next `per_worker` allocations on
+  /// each need no heap traffic. Optional: slabs also grow organically on
+  /// demand. Call before a measurement region to get the zero-allocation
+  /// guarantee from the first task.
   void reserve(int per_worker);
 
-  /// Worker id of the calling thread, -1 for external threads.
+  /// Worker id of the calling thread: 0 inside a finish scope's caller,
+  /// 1..n-1 on pool threads, -1 elsewhere.
   static int current_worker();
 
   /// True when the calling worker's deque is empty — i.e. thieves would
   /// find nothing to take. Used by lazy binary splitting (parallel_for)
   /// to split ranges only when parallelism is actually wanted. Always
-  /// true for external threads.
+  /// true for threads outside the pool.
   bool want_more_work() const;
 
   struct Stats {
@@ -139,16 +144,18 @@ class TaskScheduler {
     ChaseLevDeque<TaskNode*> deque;
     TaskSlab slab;
     SplitMix64 rng{0};
-    // Single-writer stats, read concurrently by stats(). Updated with
-    // relaxed load+store (not RMW) so increments stay a plain add.
-    std::atomic<uint64_t> executed{0};
+    // Single-writer counters, read concurrently by stats() and the
+    // quiescence check. Updated with load+store (not RMW) so increments
+    // stay a plain add. spawned/completed are the termination counts.
+    std::atomic<uint64_t> spawned{0};
+    std::atomic<uint64_t> completed{0};
     std::atomic<uint64_t> steals{0};
     std::atomic<uint64_t> steal_attempts{0};
     std::atomic<uint64_t> parks{0};
 
-    void bump(std::atomic<uint64_t>& c) {
-      c.store(c.load(std::memory_order_relaxed) + 1,
-              std::memory_order_relaxed);
+    void bump(std::atomic<uint64_t>& c,
+              std::memory_order order = std::memory_order_relaxed) {
+      c.store(c.load(std::memory_order_relaxed) + 1, order);
     }
   };
 
@@ -156,28 +163,23 @@ class TaskScheduler {
   bool try_run_one(int id);
   bool victims_look_nonempty(int id) const;
   void run_task(Worker& w, TaskNode* task);
-  TaskNode* allocate_external();
-  bool drain_injected(int id);
-  void finish_begin();
-  void finish_wait();
+  bool quiescent() const;
+  void wake_parked_finisher();
+  Worker& enter_finish();
+  void work_until_quiescent() noexcept;
 
   int thread_count_ = 0;
   std::vector<std::unique_ptr<Worker>> slots_;
   std::vector<std::thread> workers_;
 
-  // Lock-free injection queue for tasks spawned by external threads, plus
-  // a slab for their nodes (external spawns are rare — finish roots and
-  // control-plane threads — so this slab's owner ops take a mutex).
-  InjectQueue injected_;
-  std::mutex external_mutex_;
-  TaskSlab external_slab_;
-
   EventCount idle_;
-  std::atomic<uint64_t> pending_{0};
   std::atomic<bool> shutdown_{false};
   std::atomic<uint64_t> heap_fallbacks_{0};
-  std::mutex quiesce_mutex_;
-  std::condition_variable quiesce_cv_;
+  // Slot 0's claim: set by the thread inside finish() for the scope.
+  std::atomic<bool> finishing_{false};
+  // Set while the finisher is parked on idle_; idle workers then check
+  // quiescence and wake it.
+  std::atomic<bool> finisher_parked_{false};
 };
 
 /// Default worker count: hardware concurrency, at least 1.

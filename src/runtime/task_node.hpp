@@ -26,8 +26,8 @@ inline constexpr size_t kTaskInlineBytes = 48;
 
 /// One spawned task. Lives in a 64-byte slot carved out of a TaskSlab
 /// block; the intrusive `next` link threads it through whichever list
-/// currently owns it (slab free list, remote-return stack, or the
-/// scheduler's lock-free injection queue) without any side allocation.
+/// currently owns it (slab free list or remote-return stack) without any
+/// side allocation.
 struct alignas(64) TaskNode {
   /// Dispatch: run(node, true) invokes then destroys the bound callable;
   /// run(node, false) destroys it without invoking (shutdown drain).
@@ -99,7 +99,7 @@ class TaskSlab {
   TaskSlab(const TaskSlab&) = delete;
   TaskSlab& operator=(const TaskSlab&) = delete;
 
-  /// Owner only (the scheduler serialises external-thread access).
+  /// Owner only (slot 0's owner is whichever thread is inside finish()).
   TaskNode* allocate() {
     if (local_free_ == nullptr) {
       // Batch-reclaim every node remote workers have returned since the
@@ -112,8 +112,8 @@ class TaskSlab {
     return n;
   }
 
-  /// Any thread. `caller` is the slab owned by the calling worker
-  /// (nullptr for external threads); owner-local frees skip atomics.
+  /// Any thread. `caller` is the slab owned by the calling worker;
+  /// owner-local frees skip atomics.
   static void release(TaskNode* node, TaskSlab* caller) {
     TaskSlab* owner = owner_of(node);
     if (owner == caller) {

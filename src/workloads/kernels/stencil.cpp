@@ -78,11 +78,9 @@ void heat_step_ws(runtime::TaskScheduler& rt, const Grid2D& in, Grid2D& out) {
 
 void heat_step_tasks(runtime::TaskScheduler& rt, const Grid2D& in,
                      Grid2D& out, runtime::DagShape shape, int64_t grain) {
-  rt.finish([&] {
-    runtime::spawn_range_tree(
-        rt, 1, in.rows() - 1, grain, shape,
-        [&in, &out](int64_t r0, int64_t r1) { heat_rows(in, out, r0, r1); });
-  });
+  runtime::run_range_tree(
+      rt, 1, in.rows() - 1, grain, shape,
+      [&in, &out](int64_t r0, int64_t r1) { heat_rows(in, out, r0, r1); });
 }
 
 void heat_step_lbs(runtime::TaskScheduler& rt, const Grid2D& in, Grid2D& out,
@@ -110,13 +108,10 @@ void sor_sweep_ws(runtime::TaskScheduler& rt, Grid2D& grid, double omega) {
 void sor_sweep_tasks(runtime::TaskScheduler& rt, Grid2D& grid, double omega,
                      runtime::DagShape shape, int64_t grain) {
   for (int colour = 0; colour < 2; ++colour) {
-    rt.finish([&] {
-      runtime::spawn_range_tree(rt, 1, grid.rows() - 1, grain, shape,
-                                [&grid, omega, colour](int64_t r0,
-                                                       int64_t r1) {
-                                  sor_rows(grid, omega, colour, r0, r1);
-                                });
-    });
+    runtime::run_range_tree(rt, 1, grid.rows() - 1, grain, shape,
+                            [&grid, omega, colour](int64_t r0, int64_t r1) {
+                              sor_rows(grid, omega, colour, r0, r1);
+                            });
   }
 }
 

@@ -1,6 +1,5 @@
 #include "workloads/kernels/uts.hpp"
 
-#include <atomic>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -45,40 +44,59 @@ uint64_t uts_count_sequential(const UtsParams& params) {
 
 uint64_t uts_count_parallel(runtime::TaskScheduler& rt,
                             const UtsParams& params) {
-  std::atomic<uint64_t> nodes{1};  // the root
-  const UtsParams p = params;
+  // Node counts per worker, one cache line each: a task adds its nodes
+  // into its own worker's slot, so no line is written by two workers.
+  // Slots are plain integers; finish() orders every task's write before
+  // the sum below.
+  struct alignas(64) Slot {
+    uint64_t nodes = 0;
+  };
+  std::vector<Slot> slots(static_cast<size_t>(rt.size()));
 
-  // One async per root child; within a subtree, spawn per child until the
-  // subtree is plausibly small, then recurse sequentially. This mirrors
-  // how the irregular-task variants create dynamic parallelism.
+  // One async per node down to depth 6, then sequential subtree walks.
+  // This mirrors how the irregular-task variants create dynamic
+  // parallelism.
   struct Walker {
-    static void walk(runtime::TaskScheduler& sched, const UtsParams& pp,
-                     std::atomic<uint64_t>& acc, uint64_t id, int depth) {
-      acc.fetch_add(1, std::memory_order_relaxed);
-      const int kids = child_count(pp, id, false);
+    runtime::TaskScheduler& rt;
+    const UtsParams& p;
+    Slot* slots;
+
+    void walk(uint64_t id, int depth) const {
+      uint64_t nodes = 1;
+      const int kids = child_count(p, id, false);
       for (int c = 0; c < kids; ++c) {
         const uint64_t cid = child_id(id, c);
         if (depth < 6) {
-          sched.async([&sched, &pp, &acc, cid, depth] {
-            walk(sched, pp, acc, cid, depth + 1);
-          });
+          rt.async([this, cid, depth] { walk(cid, depth + 1); });
         } else {
-          acc.fetch_add(count_subtree(pp, cid, false),
-                        std::memory_order_relaxed);
+          nodes += count_subtree(p, cid, false);
         }
       }
+      slots[runtime::TaskScheduler::current_worker()].nodes += nodes;
+    }
+
+    // Root children [lo, hi): hands the upper halves out as tasks by
+    // recursive halving, then walks child lo. Every root-level task
+    // walks exactly one root child, and no deque receives them all.
+    void walk_root_children(int lo, int hi) const {
+      while (hi - lo > 1) {
+        const int mid = lo + (hi - lo) / 2;
+        rt.async([this, mid, hi] { walk_root_children(mid, hi); });
+        hi = mid;
+      }
+      walk(child_id(p.root_seed, lo), 1);
     }
   };
 
-  rt.finish([&rt, &p, &nodes] {
-    for (int c = 0; c < p.root_branching; ++c) {
-      const uint64_t cid = child_id(p.root_seed, c);
-      rt.async([&rt, &p, &nodes, cid] {
-        Walker::walk(rt, p, nodes, cid, 1);
-      });
+  const Walker walker{rt, params, slots.data()};
+  rt.finish([&walker, &params] {
+    if (params.root_branching > 0) {
+      walker.walk_root_children(0, params.root_branching);
     }
   });
-  return nodes.load();
+  uint64_t total = 1;  // the root
+  for (const Slot& s : slots) total += s.nodes;
+  return total;
 }
 
 }  // namespace cuttlefish::workloads

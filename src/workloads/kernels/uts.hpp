@@ -27,7 +27,9 @@ double uts_expected_size(const UtsParams& params);
 uint64_t uts_count_sequential(const UtsParams& params);
 
 /// Async-finish traversal on the work-stealing runtime: one task per
-/// subtree, the paper's "inbuilt work-stealing" style of UTS.
+/// subtree, the paper's "inbuilt work-stealing" style of UTS. Root
+/// children are handed out by recursive halving, and node counts go to
+/// per-worker slots, not a shared counter.
 uint64_t uts_count_parallel(runtime::TaskScheduler& rt,
                             const UtsParams& params);
 

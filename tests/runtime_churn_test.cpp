@@ -6,8 +6,8 @@
 // flat across the steady-state phase.
 //
 // Also exercised under the ASan/TSan ctest configurations; the slab's
-// remote-return stack and the injection queue get real cross-thread
-// traffic here (the external thread's finish roots are freed by workers).
+// remote-return stack gets real cross-thread traffic here (tasks spawned
+// by the finish caller, worker 0, are stolen and freed by pool threads).
 
 #include "runtime/scheduler.hpp"
 

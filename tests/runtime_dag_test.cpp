@@ -10,13 +10,8 @@ namespace {
 
 void run_tree(TaskScheduler& rt, int64_t n, int64_t grain, DagShape shape,
               std::vector<std::atomic<int>>& hits) {
-  rt.finish([&] {
-    spawn_range_tree(rt, 0, n, grain, shape,
-                     [&hits](int64_t lo, int64_t hi) {
-                       for (int64_t i = lo; i < hi; ++i) {
-                         hits[static_cast<size_t>(i)] += 1;
-                       }
-                     });
+  run_range_tree(rt, 0, n, grain, shape, [&hits](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) hits[static_cast<size_t>(i)] += 1;
   });
 }
 
@@ -64,10 +59,8 @@ TEST(RangeTree, EmptyRangeSpawnsNothing) {
   EXPECT_EQ(range_tree_task_count(5, 5, 4, DagShape::kRegular), 0);
   TaskScheduler rt(2);
   std::atomic<int> leaves{0};
-  rt.finish([&] {
-    spawn_range_tree(rt, 5, 5, 4, DagShape::kRegular,
-                     [&](int64_t, int64_t) { leaves += 1; });
-  });
+  run_range_tree(rt, 5, 5, 4, DagShape::kRegular,
+                 [&](int64_t, int64_t) { leaves += 1; });
   EXPECT_EQ(leaves.load(), 0);
 }
 

@@ -20,10 +20,17 @@ TEST(Uts, SequentialIsDeterministic) {
 }
 
 TEST(Uts, ParallelMatchesSequential) {
-  UtsParams p;
-  p.root_branching = 100;
-  runtime::TaskScheduler rt(4);
-  EXPECT_EQ(uts_count_parallel(rt, p), uts_count_sequential(p));
+  // 0 and 1 root children leave the root-range halving nothing to hand
+  // out; 7 gives it uneven halves.
+  for (const int workers : {1, 2, 4}) {
+    runtime::TaskScheduler rt(workers);
+    for (const int branching : {0, 1, 7, 100}) {
+      UtsParams p;
+      p.root_branching = branching;
+      EXPECT_EQ(uts_count_parallel(rt, p), uts_count_sequential(p))
+          << branching << " root children at " << workers << " workers";
+    }
+  }
 }
 
 TEST(Uts, SizeNearExpectation) {
