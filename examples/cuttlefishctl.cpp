@@ -133,6 +133,29 @@ int cmd_list() {
   return 0;
 }
 
+/// A whole-number argument in [lo, hi]; anything else ("2x", "2.5", out
+/// of range) exits 2 naming the argument.
+int int_arg(const char* name, const char* text, int lo, int hi) {
+  const auto value = core::parse_int_in_range(text, lo, hi);
+  if (!value) {
+    std::fprintf(stderr, "%s expects a whole number in %d..%d, got '%s'\n",
+                 name, lo, hi, text);
+    std::exit(2);
+  }
+  return *value;
+}
+
+/// A finite positive argument; anything else exits 2 naming it.
+double positive_arg(const char* name, const char* text) {
+  const auto value = core::parse_positive_double(text);
+  if (!value) {
+    std::fprintf(stderr, "%s expects a positive number, got '%s'\n", name,
+                 text);
+    std::exit(2);
+  }
+  return *value;
+}
+
 core::PolicyKind parse_policy_arg(const char* arg) {
   if (arg == nullptr) return core::PolicyKind::kFull;
   const auto parsed = core::policy_kind_from_string(arg);
@@ -206,7 +229,9 @@ int cmd_trace(const char* bench, const char* policy_arg,
     lines_arg = policy_arg;
     policy_arg = nullptr;
   }
-  const int max_lines = lines_arg != nullptr ? std::atoi(lines_arg) : 40;
+  const int max_lines =
+      lines_arg != nullptr ? int_arg("trace: lines", lines_arg, 0, 1000000)
+                           : 40;
   const sim::MachineConfig machine = sim::haswell_2650v3();
   sim::PhaseProgram program = exp::build_calibrated(model, machine, 1);
 
@@ -414,13 +439,7 @@ int cmd_cache(int argc, char** argv) {
   if (sub == "verify" && argc >= 4) {
     int sample = 0;  // 0 = every entry
     if (argc == 6 && std::string(argv[4]) == "--sample") {
-      sample = std::atoi(argv[5]);
-      if (sample <= 0) {
-        std::fprintf(stderr, "cache verify: --sample expects a positive "
-                             "integer, got '%s'\n",
-                     argv[5]);
-        return 2;
-      }
+      sample = int_arg("cache verify: --sample", argv[5], 1, 1000000);
     } else if (argc != 4) {
       std::fprintf(stderr,
                    "usage: cuttlefishctl cache verify <dir> [--sample N]\n");
@@ -537,15 +556,7 @@ int cmd_arbiter_init(int argc, char** argv) {
     }
     const char* value = argv[i + 1];
     if (flag == "--budget") {
-      char* end = nullptr;
-      cfg.budget_w = std::strtod(value, &end);
-      if (end == value || *end != '\0' || cfg.budget_w <= 0.0) {
-        std::fprintf(stderr,
-                     "arbiter init: --budget expects positive watts, got "
-                     "'%s'\n",
-                     value);
-        return 2;
-      }
+      cfg.budget_w = positive_arg("arbiter init: --budget", value);
       have_budget = true;
     } else if (flag == "--policy") {
       const auto parsed = arbiter::share_policy_from_string(value);
@@ -558,13 +569,7 @@ int cmd_arbiter_init(int argc, char** argv) {
       }
       cfg.policy = *parsed;
     } else if (flag == "--slots") {
-      slots = std::atoi(value);
-      if (slots <= 0 || slots > 4096) {
-        std::fprintf(stderr,
-                     "arbiter init: --slots expects 1..4096, got '%s'\n",
-                     value);
-        return 2;
-      }
+      slots = int_arg("arbiter init: --slots", value, 1, 4096);
     } else {
       std::fprintf(stderr, "arbiter init: unknown flag '%s'\n", flag.c_str());
       return 2;
@@ -636,11 +641,14 @@ int cmd_arbiter_status(const char* path) {
 // sessions on one simulated node, uncoordinated firmware backstop vs the
 // arbitrated plane, same budget.
 int cmd_arbiter_demo(const char* tenants_arg, const char* budget_arg) {
-  const int tenants = tenants_arg != nullptr ? std::atoi(tenants_arg) : 4;
-  if (tenants <= 0 || tenants > 64) {
-    std::fprintf(stderr, "arbiter demo: tenants must be 1..64\n");
-    return 2;
-  }
+  const int tenants =
+      tenants_arg != nullptr ? int_arg("arbiter demo: tenants", tenants_arg,
+                                       1, 64)
+                             : 4;
+  const double budget_w =
+      budget_arg != nullptr ? positive_arg("arbiter demo: budget_w",
+                                           budget_arg)
+                            : 0.0;  // 0: 45% of the uncapped draw
   const sim::MachineConfig machine = sim::haswell_2650v3();
   std::vector<sim::PhaseProgram> programs;
   for (int i = 0; i < tenants; ++i) {
@@ -658,14 +666,7 @@ int cmd_arbiter_demo(const char* tenants_arg, const char* budget_arg) {
   opt.budget_w = 0.0;
   const exp::CotenantResult ref = exp::run_cotenants(machine, programs, opt);
   const double uncapped_w = ref.node_energy_j / ref.node_time_s;
-  double budget = 0.45 * uncapped_w;
-  if (budget_arg != nullptr) {
-    budget = std::atof(budget_arg);
-    if (budget <= 0.0) {
-      std::fprintf(stderr, "arbiter demo: budget must be positive watts\n");
-      return 2;
-    }
-  }
+  const double budget = budget_w > 0.0 ? budget_w : 0.45 * uncapped_w;
 
   std::printf("%d co-scheduled sessions on the simulated Haswell; node "
               "budget %.1f W (uncapped draw %.1f W)\n\n",
@@ -755,48 +756,16 @@ int cmd_sweep_run(int argc, char** argv, bool resume) {
       return 2;
     }
     const char* value = argv[i + 1];
-    char* end = nullptr;
     if (flag == "--runs") {
-      runs = std::atoi(value);
-      if (runs <= 0 || runs > 64) {
-        std::fprintf(stderr, "sweep: --runs expects 1..64, got '%s'\n",
-                     value);
-        return 2;
-      }
+      runs = int_arg("sweep: --runs", value, 1, 64);
     } else if (flag == "--workers") {
-      opt.max_workers = std::atoi(value);
-      if (opt.max_workers <= 0 || opt.max_workers > 256) {
-        std::fprintf(stderr, "sweep: --workers expects 1..256, got '%s'\n",
-                     value);
-        return 2;
-      }
+      opt.max_workers = int_arg("sweep: --workers", value, 1, 256);
     } else if (flag == "--attempts") {
-      opt.max_attempts = std::atoi(value);
-      if (opt.max_attempts <= 0) {
-        std::fprintf(stderr,
-                     "sweep: --attempts expects a positive integer, got "
-                     "'%s'\n",
-                     value);
-        return 2;
-      }
+      opt.max_attempts = int_arg("sweep: --attempts", value, 1, 1000000);
     } else if (flag == "--spec-timeout") {
-      opt.spec_timeout_s = std::strtod(value, &end);
-      if (end == value || *end != '\0' || opt.spec_timeout_s <= 0.0) {
-        std::fprintf(stderr,
-                     "sweep: --spec-timeout expects positive seconds, got "
-                     "'%s'\n",
-                     value);
-        return 2;
-      }
+      opt.spec_timeout_s = positive_arg("sweep: --spec-timeout", value);
     } else if (flag == "--sweep-timeout") {
-      opt.total_timeout_s = std::strtod(value, &end);
-      if (end == value || *end != '\0' || opt.total_timeout_s <= 0.0) {
-        std::fprintf(stderr,
-                     "sweep: --sweep-timeout expects positive seconds, got "
-                     "'%s'\n",
-                     value);
-        return 2;
-      }
+      opt.total_timeout_s = positive_arg("sweep: --sweep-timeout", value);
     } else if (flag == "--crash-at") {
       crash_at = value;
     } else {

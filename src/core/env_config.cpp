@@ -1,12 +1,19 @@
 #include "core/env_config.hpp"
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "common/log.hpp"
 
 namespace cuttlefish::core {
 
 namespace {
+
+/// The longest Tinv or warm-up the environment may set, in seconds: the
+/// daemon converts both to int64 nanoseconds, which overflow near 9.2e9 s.
+constexpr double kMaxDurationS = 1e9;
+constexpr double kMinPositive = std::numeric_limits<double>::denorm_min();
 
 std::optional<std::string> env(const char* name) {
   const char* value = std::getenv(name);
@@ -26,6 +33,18 @@ void override_from(const char* name, Parser parse, Apply apply) {
   apply(*parsed);
 }
 
+/// The whole of `text` as a number in [lo, hi] (finite bounds, so NaN and
+/// the infinities are malformed too).
+std::optional<double> parse_in(const std::string& text, double lo,
+                               double hi) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !(value >= lo && value <= hi)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 }  // namespace
 
 std::optional<PolicyKind> parse_policy(const std::string& text) {
@@ -40,11 +59,16 @@ std::optional<PolicyKind> parse_policy(const std::string& text) {
 }
 
 std::optional<double> parse_positive_double(const std::string& text) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') return std::nullopt;
-  if (!(value > 0.0)) return std::nullopt;
-  return value;
+  return parse_in(text, kMinPositive, std::numeric_limits<double>::max());
+}
+
+std::optional<int> parse_int_in_range(const std::string& text, int lo,
+                                      int hi) {
+  // Range and wholeness are checked on the double: casting first is UB
+  // for values an int cannot hold.
+  const auto value = parse_in(text, lo, hi);
+  if (!value || *value != std::floor(*value)) return std::nullopt;
+  return static_cast<int>(*value);
 }
 
 std::optional<bool> parse_bool(const std::string& text) {
@@ -61,22 +85,21 @@ std::optional<arbiter::SharePolicy> parse_share_policy(
 ControllerConfig apply_env_overrides(ControllerConfig base) {
   override_from<PolicyKind>("CUTTLEFISH_POLICY", parse_policy,
                             [&](PolicyKind p) { base.policy = p; });
-  override_from<double>("CUTTLEFISH_TINV_MS", parse_positive_double,
-                        [&](double ms) { base.tinv_s = ms / 1000.0; });
+  override_from<double>(
+      "CUTTLEFISH_TINV_MS",
+      [](const std::string& t) {
+        return parse_in(t, kMinPositive, kMaxDurationS * 1000.0);
+      },
+      [&](double ms) { base.tinv_s = ms / 1000.0; });
+  // Zero warm-up is legitimate (tests, steady workloads).
   override_from<double>(
       "CUTTLEFISH_WARMUP_S",
-      [](const std::string& t) -> std::optional<double> {
-        // Zero warm-up is legitimate (tests, steady workloads).
-        char* end = nullptr;
-        const double v = std::strtod(t.c_str(), &end);
-        if (end == t.c_str() || *end != '\0' || v < 0.0) return std::nullopt;
-        return v;
-      },
+      [](const std::string& t) { return parse_in(t, 0.0, kMaxDurationS); },
       [&](double s) { base.warmup_s = s; });
-  override_from<double>("CUTTLEFISH_JPI_SAMPLES", parse_positive_double,
-                        [&](double n) {
-                          base.jpi_samples = static_cast<int>(n);
-                        });
+  override_from<int>(
+      "CUTTLEFISH_JPI_SAMPLES",
+      [](const std::string& t) { return parse_int_in_range(t, 1, 1000000); },
+      [&](int n) { base.jpi_samples = n; });
   override_from<double>("CUTTLEFISH_SLAB_WIDTH", parse_positive_double,
                         [&](double w) { base.tipi_slab_width = w; });
   override_from<bool>("CUTTLEFISH_NARROWING", parse_bool,
@@ -98,17 +121,11 @@ ArbiterEnvConfig apply_arbiter_env_overrides(ArbiterEnvConfig base) {
                                       [&](arbiter::SharePolicy p) {
                                         base.policy = p;
                                       });
-  override_from<double>(
+  // Within the plane's slot-table bounds.
+  override_from<int>(
       "CUTTLEFISH_ARBITER_SLOTS",
-      [](const std::string& t) -> std::optional<double> {
-        const auto v = parse_positive_double(t);
-        // Whole, and within the plane's slot-table bounds.
-        if (!v || *v != static_cast<int>(*v) || *v > 4096.0) {
-          return std::nullopt;
-        }
-        return v;
-      },
-      [&](double n) { base.slots = static_cast<int>(n); });
+      [](const std::string& t) { return parse_int_in_range(t, 1, 4096); },
+      [&](int n) { base.slots = n; });
   return base;
 }
 

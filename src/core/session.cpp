@@ -1,7 +1,5 @@
 #include "core/session.hpp"
 
-#include <charconv>
-#include <cstdio>
 #include <cstdlib>
 #include <locale>
 #include <map>
@@ -11,6 +9,7 @@
 #include <utility>
 
 #include "arbiter/shm_arbiter.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
 #include "core/api.hpp"
 #include "core/controller_factory.hpp"
@@ -76,43 +75,7 @@ struct RegionProfile {
   core::ControllerSnapshot snap;
 };
 
-// ---- profile JSON ----------------------------------------------------------
-// Hand-rolled emitter + strict parser for the save_profiles() format (see
-// docs/REGIONS.md); no third-party JSON dependency.
-
-void json_escape(std::ostream& os, const std::string& text) {
-  os << '"';
-  for (const char ch : text) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\b': os << "\\b"; break;
-      case '\f': os << "\\f"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          os << buf;
-        } else {
-          os << ch;
-        }
-    }
-  }
-  os << '"';
-}
-
-void json_double(std::ostream& os, double value) {
-  // std::to_chars: locale-independent (a host app's de_DE locale must
-  // not turn 0.004 into "0,004") and shortest-round-trip, so restored
-  // JPI sums equal the saved ones bit-exactly.
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), value);
-  os.write(buf, res.ptr - buf);
-}
+// ---- profile JSON (format: docs/REGIONS.md) ------------------------------
 
 void emit_domain(std::ostream& os, const core::DomainSnapshot& d) {
   os << "{\"lb\":" << d.lb << ",\"rb\":" << d.rb << ",\"opt\":" << d.opt
@@ -120,219 +83,11 @@ void emit_domain(std::ostream& os, const core::DomainSnapshot& d) {
      << ",\"jpi\":[";
   for (size_t i = 0; i < d.jpi.size(); ++i) {
     if (i > 0) os << ',';
-    os << '[';
-    json_double(os, d.jpi[i].first);
-    os << ',' << d.jpi[i].second << ']';
+    os << '[' << json::number(d.jpi[i].first) << ',' << d.jpi[i].second
+       << ']';
   }
   os << "]}";
 }
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string text;
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> members;
-
-  const JsonValue* find(const std::string& key) const {
-    if (kind != Kind::kObject) return nullptr;
-    for (const auto& [k, v] : members) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-  double num_or(double fallback) const {
-    return kind == Kind::kNumber ? number : fallback;
-  }
-  /// Member lookup + number extraction in one scan.
-  double num_member_or(const std::string& key, double fallback) const {
-    const JsonValue* value = find(key);
-    return value != nullptr ? value->num_or(fallback) : fallback;
-  }
-};
-
-/// Range-checked double -> integer conversion for parsed JSON numbers: a
-/// cast of an out-of-range double is UB, and the file is
-/// attacker-/corruption-grade input. Returns false (leaving `out`
-/// untouched) for non-finite, fractional-overflowing, or out-of-range
-/// values.
-template <typename Int>
-bool json_to_int(double value, Int& out, double lo, double hi) {
-  if (!(value >= lo && value <= hi)) return false;  // rejects NaN too
-  out = static_cast<Int>(value);
-  return true;
-}
-
-/// Strict recursive-descent parser covering exactly the JSON subset the
-/// emitter above produces (objects, arrays, strings with basic escapes,
-/// numbers, booleans, null).
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  bool parse(JsonValue& out) {
-    skip_ws();
-    if (!parse_value(out)) return false;
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  bool consume(char ch) {
-    if (pos_ < text_.size() && text_[pos_] == ch) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  bool literal(const char* word) {
-    const size_t len = std::char_traits<char>::length(word);
-    if (text_.compare(pos_, len, word) != 0) return false;
-    pos_ += len;
-    return true;
-  }
-
-  bool parse_value(JsonValue& out) {
-    if (pos_ >= text_.size()) return false;
-    // The emitter nests four levels deep; anything beyond a generous
-    // bound is a hostile file trying to overflow the recursion stack.
-    if (depth_ >= 64) return false;
-    switch (text_[pos_]) {
-      case '{': return parse_object(out);
-      case '[': return parse_array(out);
-      case '"':
-        out.kind = JsonValue::Kind::kString;
-        return parse_string(out.text);
-      case 't':
-        out.kind = JsonValue::Kind::kBool;
-        out.boolean = true;
-        return literal("true");
-      case 'f':
-        out.kind = JsonValue::Kind::kBool;
-        out.boolean = false;
-        return literal("false");
-      case 'n':
-        out.kind = JsonValue::Kind::kNull;
-        return literal("null");
-      default: return parse_number(out);
-    }
-  }
-
-  bool parse_object(JsonValue& out) {
-    out.kind = JsonValue::Kind::kObject;
-    if (!consume('{')) return false;
-    ++depth_;
-    skip_ws();
-    if (consume('}')) {
-      --depth_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (!parse_string(key)) return false;
-      skip_ws();
-      if (!consume(':')) return false;
-      skip_ws();
-      JsonValue value;
-      if (!parse_value(value)) return false;
-      out.members.emplace_back(std::move(key), std::move(value));
-      skip_ws();
-      if (consume(',')) continue;
-      --depth_;
-      return consume('}');
-    }
-  }
-
-  bool parse_array(JsonValue& out) {
-    out.kind = JsonValue::Kind::kArray;
-    if (!consume('[')) return false;
-    ++depth_;
-    skip_ws();
-    if (consume(']')) {
-      --depth_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      JsonValue value;
-      if (!parse_value(value)) return false;
-      out.items.push_back(std::move(value));
-      skip_ws();
-      if (consume(',')) continue;
-      --depth_;
-      return consume(']');
-    }
-  }
-
-  bool parse_string(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char ch = text_[pos_++];
-      if (ch == '"') return true;
-      if (ch != '\\') {
-        out.push_back(ch);
-        continue;
-      }
-      if (pos_ >= text_.size()) return false;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return false;
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char hex = text_[pos_++];
-            code <<= 4;
-            if (hex >= '0' && hex <= '9') code |= static_cast<unsigned>(hex - '0');
-            else if (hex >= 'a' && hex <= 'f') code |= static_cast<unsigned>(hex - 'a' + 10);
-            else if (hex >= 'A' && hex <= 'F') code |= static_cast<unsigned>(hex - 'A' + 10);
-            else return false;
-          }
-          // The emitter only writes \u00XX control escapes; reject
-          // anything that would need real UTF-16 handling.
-          if (code > 0xff) return false;
-          out.push_back(static_cast<char>(code));
-          break;
-        }
-        default: return false;
-      }
-    }
-    return false;
-  }
-
-  bool parse_number(JsonValue& out) {
-    // std::from_chars is locale-independent, matching the emitter.
-    const char* begin = text_.c_str() + pos_;
-    const char* end = text_.c_str() + text_.size();
-    const auto res = std::from_chars(begin, end, out.number);
-    if (res.ec != std::errc{} || res.ptr == begin) return false;
-    out.kind = JsonValue::Kind::kNumber;
-    pos_ += static_cast<size_t>(res.ptr - begin);
-    return true;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-  int depth_ = 0;
-};
 
 /// Content validation for imported snapshots (shape is checked
 /// separately). The controller trusts its own snapshots; a JSON file is
@@ -392,35 +147,35 @@ bool snapshot_content_ok(const core::ControllerSnapshot& snap,
   return true;
 }
 
-bool parse_domain(const JsonValue& value, core::DomainSnapshot& out) {
-  if (value.kind != JsonValue::Kind::kObject) return false;
-  const JsonValue* lb = value.find("lb");
-  const JsonValue* rb = value.find("rb");
-  const JsonValue* opt = value.find("opt");
-  const JsonValue* window_set = value.find("window_set");
-  const JsonValue* jpi = value.find("jpi");
+bool parse_domain(const json::Value& value, core::DomainSnapshot& out) {
+  if (value.kind != json::Value::Kind::kObject) return false;
+  const json::Value* lb = value.find("lb");
+  const json::Value* rb = value.find("rb");
+  const json::Value* opt = value.find("opt");
+  const json::Value* window_set = value.find("window_set");
+  const json::Value* jpi = value.find("jpi");
   if (lb == nullptr || rb == nullptr || opt == nullptr ||
       window_set == nullptr || jpi == nullptr ||
-      window_set->kind != JsonValue::Kind::kBool ||
-      jpi->kind != JsonValue::Kind::kArray) {
+      window_set->kind != json::Value::Kind::kBool ||
+      jpi->kind != json::Value::Kind::kArray) {
     return false;
   }
   constexpr double kMaxLevels = 1e6;  // far beyond any real ladder
-  if (!json_to_int(lb->num_or(kNoLevel), out.lb, kNoLevel, kMaxLevels) ||
-      !json_to_int(rb->num_or(kNoLevel), out.rb, kNoLevel, kMaxLevels) ||
-      !json_to_int(opt->num_or(kNoLevel), out.opt, kNoLevel, kMaxLevels)) {
+  if (!json::to_int(lb->num_or(kNoLevel), out.lb, kNoLevel, kMaxLevels) ||
+      !json::to_int(rb->num_or(kNoLevel), out.rb, kNoLevel, kMaxLevels) ||
+      !json::to_int(opt->num_or(kNoLevel), out.opt, kNoLevel, kMaxLevels)) {
     return false;
   }
   out.window_set = window_set->boolean;
   out.jpi.clear();
-  for (const JsonValue& cell : jpi->items) {
-    if (cell.kind != JsonValue::Kind::kArray || cell.items.size() != 2 ||
-        cell.items[0].kind != JsonValue::Kind::kNumber ||
-        cell.items[1].kind != JsonValue::Kind::kNumber) {
+  for (const json::Value& cell : jpi->items) {
+    if (cell.kind != json::Value::Kind::kArray || cell.items.size() != 2 ||
+        cell.items[0].kind != json::Value::Kind::kNumber ||
+        cell.items[1].kind != json::Value::Kind::kNumber) {
       return false;
     }
     int count = 0;
-    if (!json_to_int(cell.items[1].number, count, 0.0, 1e9)) return false;
+    if (!json::to_int(cell.items[1].number, count, 0.0, 1e9)) return false;
     out.jpi.emplace_back(cell.items[0].number, count);
   }
   return true;
@@ -777,14 +532,12 @@ bool Session::save_profiles(const std::string& path) const {
     for (const auto& [name, prof] : impl_->profiles) {
       if (!first) os << ',';
       first = false;
-      os << "\n {\"name\":";
-      json_escape(os, name);
-      os << ",\"entries\":" << prof.entries
+      os << "\n {\"name\":" << json::quote(name)
+         << ",\"entries\":" << prof.entries
          << ",\"warm_starts\":" << prof.warm_starts
          << ",\"cached\":" << (prof.has_snapshot ? "true" : "false")
-         << ",\"slab_width\":";
-      json_double(os, prof.snap.slab_width);
-      os << ",\"cf_levels\":" << prof.snap.cf_levels
+         << ",\"slab_width\":" << json::number(prof.snap.slab_width)
+         << ",\"cf_levels\":" << prof.snap.cf_levels
          << ",\"uf_levels\":" << prof.snap.uf_levels
          << ",\"jpi_samples\":" << prof.snap.jpi_samples << ",\"nodes\":[";
       for (size_t i = 0; i < prof.snap.nodes.size(); ++i) {
@@ -813,14 +566,13 @@ bool Session::load_profiles(const std::string& path) {
     CF_LOG_WARN("session: cannot read profiles from '%s'", path.c_str());
     return false;
   }
-  JsonValue root;
-  if (!JsonParser(text).parse(root) ||
-      root.kind != JsonValue::Kind::kObject) {
+  const std::optional<json::Value> root = json::parse(text);
+  if (!root || root->kind != json::Value::Kind::kObject) {
     CF_LOG_WARN("session: '%s' is not a valid profile JSON", path.c_str());
     return false;
   }
-  const JsonValue* regions = root.find("regions");
-  if (regions == nullptr || regions->kind != JsonValue::Kind::kArray) {
+  const json::Value* regions = root->find("regions");
+  if (regions == nullptr || regions->kind != json::Value::Kind::kArray) {
     CF_LOG_WARN("session: '%s' has no regions array", path.c_str());
     return false;
   }
@@ -840,25 +592,25 @@ bool Session::load_profiles(const std::string& path) {
   }
 
   constexpr double kMaxCounter = 9e18;  // < int64/uint64 range: cast-safe
-  for (const JsonValue& region : regions->items) {
-    const JsonValue* name = region.find("name");
-    if (name == nullptr || name->kind != JsonValue::Kind::kString) continue;
+  for (const json::Value& region : regions->items) {
+    const json::Value* name = region.find("name");
+    if (name == nullptr || name->kind != json::Value::Kind::kString) continue;
     RegionProfile prof;
     // Counter fields are best-effort: junk values read as 0.
-    json_to_int(region.num_member_or("entries", 0.0), prof.entries, 0.0,
+    json::to_int(region.num_member_or("entries", 0.0), prof.entries, 0.0,
                 kMaxCounter);
-    json_to_int(region.num_member_or("warm_starts", 0.0),
+    json::to_int(region.num_member_or("warm_starts", 0.0),
                 prof.warm_starts, 0.0, kMaxCounter);
-    const JsonValue* cached = region.find("cached");
-    const JsonValue* nodes = region.find("nodes");
+    const json::Value* cached = region.find("cached");
+    const json::Value* nodes = region.find("nodes");
     if (cached != nullptr && cached->boolean && nodes != nullptr &&
-        nodes->kind == JsonValue::Kind::kArray) {
+        nodes->kind == json::Value::Kind::kArray) {
       prof.snap.slab_width = region.num_member_or("slab_width", 0.0);
-      if (!json_to_int(region.num_member_or("cf_levels", -1.0),
+      if (!json::to_int(region.num_member_or("cf_levels", -1.0),
                        prof.snap.cf_levels, 0.0, 1e6) ||
-          !json_to_int(region.num_member_or("uf_levels", -1.0),
+          !json::to_int(region.num_member_or("uf_levels", -1.0),
                        prof.snap.uf_levels, 0.0, 1e6) ||
-          !json_to_int(region.num_member_or("jpi_samples", -1.0),
+          !json::to_int(region.num_member_or("jpi_samples", -1.0),
                        prof.snap.jpi_samples, 0.0, 1e6)) {
         CF_LOG_WARN("session: skipping malformed profile '%s' in '%s'",
                     name->text.c_str(), path.c_str());
@@ -876,15 +628,15 @@ bool Session::load_profiles(const std::string& path) {
         continue;
       }
       bool nodes_ok = true;
-      for (const JsonValue& node : nodes->items) {
+      for (const json::Value& node : nodes->items) {
         core::NodeSnapshot ns;
-        const JsonValue* slab = node.find("slab");
-        const JsonValue* cf = node.find("cf");
-        const JsonValue* uf = node.find("uf");
+        const json::Value* slab = node.find("slab");
+        const json::Value* cf = node.find("cf");
+        const json::Value* uf = node.find("uf");
         if (slab == nullptr || cf == nullptr || uf == nullptr ||
-            !json_to_int(slab->num_or(0.0), ns.slab, -kMaxCounter,
+            !json::to_int(slab->num_or(0.0), ns.slab, -kMaxCounter,
                          kMaxCounter) ||
-            !json_to_int(node.num_member_or("ticks", 0.0), ns.ticks, 0.0,
+            !json::to_int(node.num_member_or("ticks", 0.0), ns.ticks, 0.0,
                          kMaxCounter) ||
             !parse_domain(*cf, ns.cf) || !parse_domain(*uf, ns.uf)) {
           nodes_ok = false;

@@ -4,6 +4,12 @@
 
 #include <cstdlib>
 
+#include "core/icontroller.hpp"
+#include "core/session.hpp"
+#include "sim/machine_config.hpp"
+#include "sim/sim_machine.hpp"
+#include "sim/sim_platform.hpp"
+
 namespace cuttlefish::core {
 namespace {
 
@@ -91,6 +97,81 @@ TEST(EnvConfig, PositiveDoubleParser) {
   EXPECT_FALSE(parse_positive_double("0").has_value());
   EXPECT_FALSE(parse_positive_double("2.5ms").has_value());
   EXPECT_FALSE(parse_positive_double("").has_value());
+  EXPECT_FALSE(parse_positive_double("inf").has_value());
+  EXPECT_FALSE(parse_positive_double("nan").has_value());
+}
+
+TEST(EnvConfig, IntInRangeParser) {
+  EXPECT_EQ(parse_int_in_range("8", 1, 4096), 8);
+  EXPECT_EQ(parse_int_in_range("8.0", 1, 4096), 8);
+  EXPECT_EQ(parse_int_in_range("4096", 1, 4096), 4096);
+  EXPECT_EQ(parse_int_in_range("0", 0, 5), 0);
+  for (const char* bad :
+       {"", "8x", "2.5", "0", "4097", "-1", "1e10", "-1e10", "inf", "nan"}) {
+    EXPECT_FALSE(parse_int_in_range(bad, 1, 4096).has_value()) << bad;
+  }
+}
+
+TEST(EnvConfig, JpiSamplesMustBeAWholeNumberInRange) {
+  EXPECT_EQ(ControllerConfig{}.jpi_samples, 10);
+  {
+    EnvGuard g("CUTTLEFISH_JPI_SAMPLES", "1e6");
+    EXPECT_EQ(apply_env_overrides({}).jpi_samples, 1000000);
+  }
+  // 1e10 used to be cast to int before any range check (UB: INT_MIN on
+  // x86), which a controller then aborted on.
+  for (const char* bad : {"1e10", "1000001", "2.5", "0", "-3", "inf", "nan"}) {
+    EnvGuard g("CUTTLEFISH_JPI_SAMPLES", bad);
+    EXPECT_EQ(apply_env_overrides({}).jpi_samples, 10) << bad;
+  }
+}
+
+TEST(EnvConfig, DoublesMustBeFiniteAndDurationsBounded) {
+  const ControllerConfig defaults;
+  for (const char* bad : {"inf", "-inf", "nan"}) {
+    EnvGuard g1("CUTTLEFISH_TINV_MS", bad);
+    EnvGuard g2("CUTTLEFISH_WARMUP_S", bad);
+    EnvGuard g3("CUTTLEFISH_SLAB_WIDTH", bad);
+    const ControllerConfig cfg = apply_env_overrides({});
+    EXPECT_DOUBLE_EQ(cfg.tinv_s, defaults.tinv_s) << bad;
+    EXPECT_DOUBLE_EQ(cfg.warmup_s, defaults.warmup_s) << bad;
+    EXPECT_DOUBLE_EQ(cfg.tipi_slab_width, defaults.tipi_slab_width) << bad;
+  }
+  // The daemon converts Tinv and the warm-up to int64 nanoseconds: both
+  // stop at 1e9 s.
+  {
+    EnvGuard g1("CUTTLEFISH_TINV_MS", "1e12");
+    EnvGuard g2("CUTTLEFISH_WARMUP_S", "1e9");
+    const ControllerConfig cfg = apply_env_overrides({});
+    EXPECT_DOUBLE_EQ(cfg.tinv_s, 1e9);
+    EXPECT_DOUBLE_EQ(cfg.warmup_s, 1e9);
+  }
+  {
+    EnvGuard g1("CUTTLEFISH_TINV_MS", "1e300");
+    EnvGuard g2("CUTTLEFISH_WARMUP_S", "1.1e9");
+    const ControllerConfig cfg = apply_env_overrides({});
+    EXPECT_DOUBLE_EQ(cfg.tinv_s, defaults.tinv_s);
+    EXPECT_DOUBLE_EQ(cfg.warmup_s, defaults.warmup_s);
+  }
+}
+
+TEST(EnvConfig, UnrepresentableSamplesKeepAManualSessionAlive) {
+  // The warn-and-keep contract end to end: a manual-tick session under
+  // CUTTLEFISH_JPI_SAMPLES=1e10 starts with the default quota instead of
+  // aborting the host on the controller's positivity assert.
+  EnvGuard g("CUTTLEFISH_JPI_SAMPLES", "1e10");
+  const sim::MachineConfig machine = sim::haswell_2650v3();
+  sim::PhaseProgram program;
+  program.add(1e9, 1.0, 0.02);
+  sim::SimMachine sim_machine(machine, program, 1);
+  sim::SimPlatform platform(sim_machine);
+  Options options;
+  options.manual_tick = true;
+  Session session(platform, options);
+  ASSERT_NE(session.controller(), nullptr);
+  EXPECT_EQ(session.controller()->config().jpi_samples, 10);
+  session.tick();
+  session.tick();
 }
 
 // ---- CUTTLEFISH_ARBITER* ------------------------------------------------
@@ -143,7 +224,8 @@ TEST(ArbiterEnvConfig, MalformedPolicyIgnoredKeepsPrevious) {
 }
 
 TEST(ArbiterEnvConfig, MalformedSlotsIgnoredKeepsPrevious) {
-  for (const char* bad : {"0", "-4", "4.5", "many", "5000"}) {
+  for (const char* bad :
+       {"0", "-4", "4.5", "many", "5000", "8x", "1e10", "inf", "nan"}) {
     EnvGuard g("CUTTLEFISH_ARBITER_SLOTS", bad);
     EXPECT_EQ(apply_arbiter_env_overrides().slots, 16) << bad;
   }

@@ -22,9 +22,12 @@
 #include "core/region.hpp"
 #include "core/session.hpp"
 #include "core/trace.hpp"
+#include "exp/calibrate.hpp"
+#include "exp/record_file.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/sim_machine.hpp"
 #include "sim/sim_platform.hpp"
+#include "workloads/suite.hpp"
 
 namespace cuttlefish {
 namespace {
@@ -347,6 +350,55 @@ TEST(Region, ProfilesSurviveJsonRoundTrip) {
 
   std::remove(path1.c_str());
   std::remove(path2.c_str());
+}
+
+TEST(Region, SavedProfileBytesArePinned) {
+  // The round trip above compares two saves with each other, so it cannot
+  // see an encoder change that alters both the same way. This pins one
+  // save's size and checksum: HPCCG x3 at seed 7, with twelve region
+  // entries over four names that cover the empty name, a quote, a
+  // backslash, every short-escaped control byte, \u-escaped ones and
+  // multi-byte UTF-8.
+  const sim::MachineConfig machine = sim::haswell_2650v3();
+  const sim::PhaseProgram cycle = exp::build_calibrated(
+      workloads::find_benchmark("HPCCG"), machine, 7);
+  sim::PhaseProgram program;
+  program.repeat(3, cycle.segments());
+  sim::SimMachine sim_machine(machine, program, 7);
+  sim::SimPlatform platform(sim_machine);
+  Options options;
+  options.manual_tick = true;
+  Session session(platform, options);
+  const core::ControllerConfig& cfg = session.controller()->config();
+  for (double t = 0.0; t < cfg.warmup_s; t += cfg.tinv_s) {
+    sim_machine.advance(cfg.tinv_s);
+  }
+  session.tick();
+
+  const std::vector<std::string> names = {
+      "", "say \"hi\" \\ bye", std::string("\x01\b\f\n\r\t\x1f\x7f", 8),
+      "caf\xc3\xa9 \xe2\x80\x94 \xcf\x80"};
+  const double total = program.total_instructions();
+  constexpr int kEntries = 12;
+  for (int k = 1; k <= kEntries; ++k) {
+    Region region(session, names[static_cast<size_t>(k) % names.size()]);
+    while (!sim_machine.workload_done() &&
+           static_cast<double>(
+               platform.sample_sensors().sample.instructions) <
+               total * k / kEntries) {
+      sim_machine.advance(cfg.tinv_s);
+      session.tick();
+    }
+  }
+
+  const std::string path = "session_region_profiles_pinned.json";
+  ASSERT_TRUE(session.save_profiles(path));
+  std::string bytes;
+  ASSERT_TRUE(exp::read_file(path, &bytes));
+  std::remove(path.c_str());
+  EXPECT_EQ(bytes.size(), 19770u);
+  EXPECT_EQ(exp::checksum64(bytes.data(), bytes.size()),
+            0xe3375a3b5e5c1786ull);
 }
 
 TEST(Region, MalformedProfileContentIsSkippedNotFatal) {
