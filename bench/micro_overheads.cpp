@@ -9,18 +9,16 @@
 #include <cstdlib>
 #include <memory>
 
-#include "core/controller.hpp"
 #include "core/explorer.hpp"
 #include "core/tipi_list.hpp"
+#include "exp/driver.hpp"
 #include "hal/fault_injection.hpp"
 #include "hal/health.hpp"
-#include "hal/platform.hpp"
 #include "runtime/deque.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/scheduler.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/sim_machine.hpp"
-#include "sim/sim_platform.hpp"
 
 namespace {
 
@@ -28,39 +26,35 @@ using namespace cuttlefish;
 
 // --- controller tick ------------------------------------------------------
 
+/// A Cuttlefish co-simulation of one endless phase through the one
+/// stepper, past its warm-up and begin(), then `settle` more ticks
+/// (steady state; 0 leaves it exploring). Each step() is one quantum: an
+/// advance plus a tick.
+std::unique_ptr<exp::Stepper> settled_stepper(
+    const hal::FaultSchedule* faults, int settle) {
+  static const sim::PhaseProgram program =
+      sim::PhaseProgram().add(1e18, 0.8, 0.066);
+  exp::RunOptions options;
+  options.seed = 0x5eed;
+  options.faults = faults;
+  auto stepper = std::make_unique<exp::Stepper>(sim::haswell_2650v3(),
+                                                program, options);
+  stepper->drive_policy(core::PolicyKind::kFull);
+  stepper->start();
+  for (int i = 0; i < settle; ++i) stepper->step();
+  return stepper;
+}
+
 void BM_ControllerTickSteadyState(benchmark::State& state) {
-  const sim::MachineConfig cfg = sim::haswell_2650v3();
-  sim::PhaseProgram program;
-  program.add(1e18, 0.8, 0.066);
-  sim::SimMachine machine(cfg, program);
-  sim::SimPlatform platform(machine);
-  core::Controller controller(platform, core::ControllerConfig{});
-  controller.begin();
-  // Drive to steady state first.
-  for (int i = 0; i < 1000; ++i) {
-    machine.advance(0.02);
-    controller.tick();
-  }
-  for (auto _ : state) {
-    machine.advance(0.02);
-    controller.tick();
-  }
+  const auto stepper = settled_stepper(nullptr, 1000);
+  for (auto _ : state) stepper->step();
   state.SetLabel("one Tinv tick incl. simulated sensor read");
 }
 BENCHMARK(BM_ControllerTickSteadyState);
 
 void BM_ControllerTickExploring(benchmark::State& state) {
-  const sim::MachineConfig cfg = sim::haswell_2650v3();
-  sim::PhaseProgram program;
-  program.add(1e18, 0.8, 0.066);
-  sim::SimMachine machine(cfg, program);
-  sim::SimPlatform platform(machine);
-  core::Controller controller(platform, core::ControllerConfig{});
-  controller.begin();
-  for (auto _ : state) {
-    machine.advance(0.02);
-    controller.tick();
-  }
+  const auto stepper = settled_stepper(nullptr, 0);
+  for (auto _ : state) stepper->step();
 }
 BENCHMARK(BM_ControllerTickExploring);
 
@@ -194,44 +188,22 @@ void BM_ControllerTickFaultWrapped(benchmark::State& state) {
   // Steady-state tick through a FaultInjectionPlatform with an empty
   // schedule: the full outcome plumbing + decorator, zero faults firing.
   // Compare against BM_ControllerTickSteadyState for the added cost.
-  const sim::MachineConfig cfg = sim::haswell_2650v3();
-  sim::PhaseProgram program;
-  program.add(1e18, 0.8, 0.066);
-  sim::SimMachine machine(cfg, program);
-  sim::SimPlatform platform(machine);
-  hal::FaultInjectionPlatform faulty(platform, hal::FaultSchedule{});
-  core::Controller controller(faulty, core::ControllerConfig{});
-  controller.begin();
-  for (int i = 0; i < 1000; ++i) {
-    machine.advance(0.02);
-    controller.tick();
-  }
-  for (auto _ : state) {
-    machine.advance(0.02);
-    controller.tick();
-  }
+  const hal::FaultSchedule empty;
+  const auto stepper = settled_stepper(&empty, 1000);
+  for (auto _ : state) stepper->step();
   state.SetLabel("empty fault schedule: outcome plumbing only");
 }
 BENCHMARK(BM_ControllerTickFaultWrapped);
 
 // --- CF_BENCH_GATE: fault machinery stays in the noise floor ----------------
 
-/// Steady-state ticks/s of a controller over `platform`, measured after a
-/// 1000-tick warm-up.
-double measure_ticks_per_s(hal::PlatformInterface& platform,
-                           sim::SimMachine& machine) {
-  core::Controller controller(platform, core::ControllerConfig{});
-  controller.begin();
-  for (int i = 0; i < 1000; ++i) {
-    machine.advance(0.02);
-    controller.tick();
-  }
+/// Steady-state ticks/s of a controller over the sim platform (wrapped in
+/// an injector when `faults` is set), measured after 1000 settling ticks.
+double measure_ticks_per_s(const hal::FaultSchedule* faults) {
+  const auto stepper = settled_stepper(faults, 1000);
   constexpr int kTicks = 50000;
   const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < kTicks; ++i) {
-    machine.advance(0.02);
-    controller.tick();
-  }
+  for (int i = 0; i < kTicks; ++i) stepper->step();
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -243,18 +215,9 @@ double measure_ticks_per_s(hal::PlatformInterface& platform,
 /// 50% even through the fault-injection decorator (in practice the two
 /// are within noise of each other; 1.5x absorbs shared-CI jitter).
 int run_overhead_gate() {
-  const sim::MachineConfig cfg = sim::haswell_2650v3();
-  sim::PhaseProgram program;
-  program.add(1e18, 0.8, 0.066);
-
-  sim::SimMachine plain_machine(cfg, program);
-  sim::SimPlatform plain(plain_machine);
-  const double plain_tps = measure_ticks_per_s(plain, plain_machine);
-
-  sim::SimMachine wrapped_machine(cfg, program);
-  sim::SimPlatform wrapped_base(wrapped_machine);
-  hal::FaultInjectionPlatform wrapped(wrapped_base, hal::FaultSchedule{});
-  const double wrapped_tps = measure_ticks_per_s(wrapped, wrapped_machine);
+  const double plain_tps = measure_ticks_per_s(nullptr);
+  const hal::FaultSchedule empty;
+  const double wrapped_tps = measure_ticks_per_s(&empty);
 
   const double ratio = plain_tps / wrapped_tps;
   std::printf("fault-machinery overhead: plain %.0f ticks/s, "

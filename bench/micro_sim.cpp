@@ -27,12 +27,10 @@
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "core/controller.hpp"
-#include "sim/firmware_governor.hpp"
+#include "exp/driver.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/phase_workload.hpp"
 #include "sim/sim_machine.hpp"
-#include "sim/sim_platform.hpp"
 
 using namespace cuttlefish;
 
@@ -180,45 +178,27 @@ struct LoopRate {
   double virtual_per_wall() const { return virtual_s / wall_s; }
 };
 
-/// The sweep's Default loop: the firmware uncore governor adapts after
-/// every quantum.
-LoopRate default_loop(const sim::MachineConfig& cfg,
-                      const sim::PhaseProgram& program,
-                      const core::ControllerConfig& ctl_cfg, int reps) {
+/// The sweep's co-simulation loop at the paper's Tinv, timed whole (the
+/// §4.1 warm-up included): a Cuttlefish run (the controller ticks every
+/// Tinv) or the Default run (the firmware uncore governor adapts after
+/// every quantum).
+LoopRate cosim_loop(const sim::MachineConfig& cfg,
+                    const sim::PhaseProgram& program, bool policy, int reps) {
   LoopRate rate;
   for (int rep = 0; rep < reps; ++rep) {
-    sim::SimMachine machine(cfg, program, 0x5eed + rep);
-    sim::FirmwareUncoreGovernor governor(machine);
-    const double t0 = now_s();
-    while (!machine.workload_done()) {
-      machine.advance(ctl_cfg.tinv_s);
-      governor.tick();
-      ++rate.quanta;
+    exp::RunOptions options;
+    options.seed = 0x5eed + rep;
+    exp::Stepper stepper(cfg, program, options);
+    if (policy) {
+      stepper.drive_policy(core::PolicyKind::kFull);
+    } else {
+      stepper.drive_default();
     }
-    rate.wall_s += now_s() - t0;
-    rate.virtual_s += machine.now();
-  }
-  return rate;
-}
-
-/// A Cuttlefish co-simulation: the controller ticks every Tinv.
-LoopRate policy_loop(const sim::MachineConfig& cfg,
-                     const sim::PhaseProgram& program,
-                     const core::ControllerConfig& ctl_cfg, int reps) {
-  LoopRate rate;
-  for (int rep = 0; rep < reps; ++rep) {
-    sim::SimMachine machine(cfg, program, 0x5eed + rep);
-    sim::SimPlatform platform(machine);
-    core::Controller controller(platform, ctl_cfg);
     const double t0 = now_s();
-    controller.begin();
-    while (!machine.workload_done()) {
-      machine.advance(ctl_cfg.tinv_s);
-      controller.tick();
-      ++rate.quanta;
-    }
+    stepper.run();
     rate.wall_s += now_s() - t0;
-    rate.virtual_s += machine.now();
+    rate.quanta += stepper.quanta();
+    rate.virtual_s += stepper.machine().now();
   }
   return rate;
 }
@@ -285,9 +265,8 @@ int main(int argc, char** argv) {
 
   // --- end-to-end per-quantum loops ---------------------------------------
   const sim::PhaseProgram cosim = cosim_program();
-  core::ControllerConfig ctl_cfg;
-  const LoopRate default_rate = default_loop(machine_cfg, cosim, ctl_cfg, reps);
-  const LoopRate policy_rate = policy_loop(machine_cfg, cosim, ctl_cfg, reps);
+  const LoopRate default_rate = cosim_loop(machine_cfg, cosim, false, reps);
+  const LoopRate policy_rate = cosim_loop(machine_cfg, cosim, true, reps);
   std::printf("  Default co-sim:  %10.0f quanta/s  (%8.0f virtual s/s)\n",
               default_rate.quanta_per_s(), default_rate.virtual_per_wall());
   std::printf("  policy co-sim:   %10.0f quanta/s  (%8.0f virtual s/s)\n",
@@ -299,8 +278,8 @@ int main(int argc, char** argv) {
   for (const char* name : {"AMG", "Heat-rt"}) {
     const sim::PhaseProgram program = exp::build_calibrated(
         workloads::find_benchmark(name), machine_cfg, kPaperSeed);
-    const LoopRate d = default_loop(machine_cfg, program, ctl_cfg, reps);
-    const LoopRate p = policy_loop(machine_cfg, program, ctl_cfg, reps);
+    const LoopRate d = cosim_loop(machine_cfg, program, false, reps);
+    const LoopRate p = cosim_loop(machine_cfg, program, true, reps);
     std::printf("  %-7s (%zu segments, %zu ops): Default %10.0f, policy "
                 "%10.0f quanta/s\n",
                 name, program.segments().size(), program.ops().size(),

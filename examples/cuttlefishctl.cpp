@@ -43,7 +43,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <memory>
 #include <string>
 
 #include "arbiter/arbiter.hpp"
@@ -66,8 +65,6 @@
 #include "hal/fault_injection.hpp"
 #include "hal/linux_msr.hpp"
 #include "sim/machine_config.hpp"
-#include "sim/sim_machine.hpp"
-#include "sim/sim_platform.hpp"
 #include "workloads/suite.hpp"
 
 using namespace cuttlefish;
@@ -235,23 +232,10 @@ int cmd_trace(const char* bench, const char* policy_arg,
   const sim::MachineConfig machine = sim::haswell_2650v3();
   sim::PhaseProgram program = exp::build_calibrated(model, machine, 1);
 
-  sim::SimMachine sim_machine(machine, program, 1);
-  sim::SimPlatform platform(sim_machine);
-  core::ControllerConfig cfg;
-  cfg.policy = parse_policy_arg(policy_arg);
-  const std::unique_ptr<core::IController> controller =
-      core::make_controller(platform, cfg);
+  exp::Stepper stepper(machine, program, exp::RunOptions{});
   core::DecisionTrace trace(65536);
-  controller->set_trace(&trace);
-
-  for (double t = 0.0; t < cfg.warmup_s; t += cfg.tinv_s) {
-    sim_machine.advance(cfg.tinv_s);
-  }
-  controller->begin();
-  while (!sim_machine.workload_done()) {
-    sim_machine.advance(cfg.tinv_s);
-    controller->tick();
-  }
+  stepper.drive_policy(parse_policy_arg(policy_arg)).set_trace(&trace);
+  stepper.run();
 
   const std::string text =
       trace.to_text(machine.core_ladder, machine.uncore_ladder);
@@ -282,52 +266,33 @@ void print_profiles(const Session& session) {
 }
 
 int cmd_regions(const char* path) {
-  if (path != nullptr) {
-    // Inspect a profile file written by Session::save_profiles(). The
-    // session is backed by the paper's simulated Haswell, whose ladder
-    // shape matches profiles recorded against it (mismatched profiles
-    // are listed as skipped by the loader's warnings).
-    const sim::MachineConfig machine = sim::haswell_2650v3();
-    const auto& model = workloads::find_benchmark("HPCCG");
-    const sim::PhaseProgram program =
-        exp::build_calibrated(model, machine, 1);
-    sim::SimMachine sim_machine(machine, program, 1);
-    sim::SimPlatform platform(sim_machine);
-    Options options;
-    options.manual_tick = true;
-    Session session(platform, options);
-    if (!session.load_profiles(path)) return 1;
-    print_profiles(session);
-    return 0;
-  }
-
-  // No file: demonstrate the warm start live. One CG solve, entered
-  // twice through a manual-tick session in virtual time.
+  // A manual-tick session over the paper's simulated Haswell running one
+  // CG solve twice. With a file, it only inspects profiles written by
+  // Session::save_profiles(): the ladder shape matches profiles recorded
+  // against this machine (mismatched ones are listed as skipped by the
+  // loader's warnings). Without one, it demonstrates the warm start live.
   const sim::MachineConfig machine = sim::haswell_2650v3();
   const auto& model = workloads::find_benchmark("HPCCG");
   const sim::PhaseProgram cycle = exp::build_calibrated(model, machine, 1);
   sim::PhaseProgram program;
   program.repeat(2, cycle.segments());
-
-  sim::SimMachine sim_machine(machine, program, 1);
-  sim::SimPlatform platform(sim_machine);
-  Options options;
-  options.manual_tick = true;
-  Session session(platform, options);
-  const core::ControllerConfig& cfg = session.controller()->config();
-  for (double t = 0.0; t < cfg.warmup_s; t += cfg.tinv_s) {
-    sim_machine.advance(cfg.tinv_s);
+  exp::Stepper stepper(machine, program, exp::RunOptions{});
+  Session& session = stepper.drive_session(Options{});
+  if (path != nullptr) {
+    if (!session.load_profiles(path)) return 1;
+    print_profiles(session);
+    return 0;
   }
-  session.tick();
+
+  stepper.start();
   const double cycle_instructions = cycle.total_instructions();
   for (int entry = 1; entry <= 2; ++entry) {
     Region region(session, "cg-solve");
-    while (!sim_machine.workload_done() &&
-           platform.sample_sensors().sample.instructions <
+    while (stepper.running() &&
+           stepper.machine().instructions_retired() <
                static_cast<uint64_t>(cycle_instructions) *
                    static_cast<uint64_t>(entry)) {
-      sim_machine.advance(cfg.tinv_s);
-      session.tick();
+      stepper.step();
     }
   }
   print_profiles(session);
@@ -468,9 +433,6 @@ int cmd_faults(const char* bench) {
   const sim::PhaseProgram program =
       exp::build_calibrated(model, machine, 1);
 
-  sim::SimMachine sim_machine(machine, program, 1);
-  sim::SimPlatform platform(sim_machine);
-
   hal::FaultSchedule schedule;
   // A 2-op sensor failure: shorter than the in-call retry budget, so the
   // controller's decision stream is unperturbed (only io_retries moves).
@@ -478,7 +440,9 @@ int cmd_faults(const char* bench) {
   // A 9-op uncore write outage: outlasts the retry budget, so the device
   // is quarantined and the policy re-narrows until backoff probes heal it.
   schedule.add({hal::FaultKind::kUncoreWriteError, 1, 9, 0});
-  hal::FaultInjectionPlatform faulty(platform, schedule);
+  exp::RunOptions options;
+  options.faults = &schedule;
+  exp::Stepper stepper(machine, program, options);
 
   std::printf("injected fault schedule:\n");
   for (const hal::FaultWindow& w : schedule.windows()) {
@@ -489,20 +453,11 @@ int cmd_faults(const char* bench) {
                                                       : ~0ull)));
   }
 
-  core::ControllerConfig cfg;
-  const std::unique_ptr<core::IController> controller =
-      core::make_controller(faulty, cfg);
+  core::IController& controller =
+      stepper.drive_policy(options.controller.policy);
   core::DecisionTrace trace(1 << 16);
-  controller->set_trace(&trace);
-
-  for (double t = 0.0; t < cfg.warmup_s; t += cfg.tinv_s) {
-    sim_machine.advance(cfg.tinv_s);
-  }
-  controller->begin();
-  while (!sim_machine.workload_done()) {
-    sim_machine.advance(cfg.tinv_s);
-    controller->tick();
-  }
+  controller.set_trace(&trace);
+  stepper.run();
 
   std::printf("\ncapability lifecycle (%s on the simulated Haswell):\n",
               model.name.c_str());
@@ -518,8 +473,8 @@ int cmd_faults(const char* bench) {
                 hal::CapabilitySet(rec.aux).to_string().c_str());
   }
 
-  const core::ControllerStats& stats = controller->stats();
-  const hal::FaultStats& injected = faulty.fault_stats();
+  const core::ControllerStats& stats = controller.stats();
+  const hal::FaultStats& injected = stepper.faults()->fault_stats();
   std::printf("\ninjector:   %llu sensor errors, %llu actuator errors\n",
               static_cast<unsigned long long>(injected.sensor_errors),
               static_cast<unsigned long long>(injected.actuator_errors));
@@ -532,8 +487,8 @@ int cmd_faults(const char* bench) {
               static_cast<unsigned long long>(stats.quarantines),
               static_cast<unsigned long long>(stats.recoveries));
   std::printf("final policy: %s (requested %s)\n",
-              core::to_string(controller->effective_policy()),
-              core::to_string(cfg.policy));
+              core::to_string(controller.effective_policy()),
+              core::to_string(options.controller.policy));
   std::printf(
       "\n(the transient blip cost retries but no decisions; the uncore\n"
       "outage quarantined the actuator, re-narrowed to core-only, then\n"

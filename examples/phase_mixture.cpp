@@ -16,9 +16,8 @@
 #include "core/region.hpp"
 #include "core/session.hpp"
 #include "exp/calibrate.hpp"
+#include "exp/driver.hpp"
 #include "sim/machine_config.hpp"
-#include "sim/sim_machine.hpp"
-#include "sim/sim_platform.hpp"
 #include "workloads/suite.hpp"
 
 using namespace cuttlefish;
@@ -76,29 +75,23 @@ int main() {
               cycle.segments().size(), model.default_time_s);
 
   // Virtual-time co-simulation through a manual-tick session: the
-  // example is the "daemon"; tick() is called once per Tinv of virtual
-  // time.
-  sim::SimMachine sim_machine(machine, program, 9);
-  sim::SimPlatform platform(sim_machine);
-  Options options;
-  options.manual_tick = true;
-  Session session(platform, options);
-  const core::ControllerConfig& cfg = session.controller()->config();
-  for (double t = 0.0; t < cfg.warmup_s; t += cfg.tinv_s) {
-    sim_machine.advance(cfg.tinv_s);
-  }
-  session.tick();  // arm: baseline the sensors (the daemon's begin())
+  // stepper is the "daemon" and ticks the session once per Tinv of
+  // virtual time.
+  exp::RunOptions run_options;
+  run_options.seed = 9;
+  exp::Stepper stepper(machine, program, run_options);
+  Session& session = stepper.drive_session(Options{});
+  stepper.start();  // warm-up, then the first tick baselines the sensors
 
   for (int entry = 1; entry <= 2; ++entry) {
     const uint64_t samples_before =
         session.controller()->stats().samples_recorded;
     Region region(session, "amg-cycle");
-    while (!sim_machine.workload_done() &&
-           platform.sample_sensors().sample.instructions <
+    while (stepper.running() &&
+           stepper.machine().instructions_retired() <
                static_cast<uint64_t>(cycle_instructions) *
                    static_cast<uint64_t>(entry)) {
-      sim_machine.advance(cfg.tinv_s);
-      session.tick();
+      stepper.step();
     }
     const core::ControllerStats& stats = session.controller()->stats();
     std::printf("--- entry %d of region \"amg-cycle\" ---\n", entry);

@@ -1,35 +1,45 @@
 #include "exp/cotenant.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 
 #include "arbiter/local_arbiter.hpp"
 #include "common/assert.hpp"
 #include "core/controller_factory.hpp"
+#include "exp/driver.hpp"
 #include "hal/arbitrated.hpp"
-#include "sim/sim_machine.hpp"
-#include "sim/sim_platform.hpp"
 
 namespace cuttlefish::exp {
 
 namespace {
 
-/// One co-scheduled session: its own machine, platform stack and
-/// controller. Heap-held so addresses stay stable across the vector.
+/// One co-scheduled session: its own stepper (machine and platform), an
+/// optional wrapper over the shared arbiter, and the controller on top.
+/// Heap-held so addresses stay stable across the vector.
 struct Tenant {
   Tenant(const sim::MachineConfig& cfg, const sim::PhaseProgram& program,
-         uint64_t seed)
-      : machine(cfg, program, seed), platform(machine) {}
+         const RunOptions& options, arbiter::IArbiter* shared,
+         TenantResult* out)
+      : stepper(cfg, program, options),
+        cap(cfg.core_ladder.max_level()),
+        result(out) {
+    hal::PlatformInterface* platform = &stepper.platform();
+    if (shared != nullptr) {
+      platform = &arbitrated.emplace(*platform, *shared,
+                                     options.controller.tinv_s);
+    }
+    controller = core::make_controller(*platform, options.controller);
+    stepper.drive(*controller);
+  }
 
-  sim::SimMachine machine;
-  sim::SimPlatform platform;
+  Stepper stepper;
   std::optional<hal::ArbitratedPlatform> arbitrated;
   std::unique_ptr<core::IController> controller;
-  bool done = false;
   double last_energy_j = 0.0;
   double power_w = 0.0;  // this quantum's interval power
-  Level cap = kNoLevel;  // uncoordinated firmware cap (core domain)
-  TenantResult result;
+  Level cap;             // uncoordinated firmware cap (core domain)
+  TenantResult* result;
 };
 
 }  // namespace
@@ -52,62 +62,38 @@ CotenantResult run_cotenants(const sim::MachineConfig& machine_cfg,
   arbiter::LocalArbiter arb(acfg,
                             static_cast<int>(programs.size()));
 
+  CotenantResult out;
+  out.tenants.resize(programs.size());
   std::vector<std::unique_ptr<Tenant>> tenants;
   tenants.reserve(programs.size());
   for (size_t i = 0; i < programs.size(); ++i) {
-    auto t = std::make_unique<Tenant>(machine_cfg, programs[i],
-                                      options.seed + i);
-    hal::PlatformInterface* platform = &t->platform;
-    if (arbitrated) {
-      t->arbitrated.emplace(t->platform, arb, tinv);
-      platform = &*t->arbitrated;
-    }
-    core::ControllerConfig cfg = options.controller;
-    cfg.policy = options.policy;
-    t->controller = core::make_controller(*platform, cfg);
-    t->cap = t->machine.config().core_ladder.max_level();
-    tenants.push_back(std::move(t));
+    RunOptions run_options;
+    run_options.seed = options.seed + i;
+    run_options.controller = options.controller;
+    run_options.controller.policy = options.policy;
+    tenants.push_back(std::make_unique<Tenant>(
+        machine_cfg, programs[i], run_options, arbitrated ? &arb : nullptr,
+        &out.tenants[i]));
   }
   const FreqLadder& ladder = machine_cfg.core_ladder;
-
-  CotenantResult out;
-  out.tenants.resize(tenants.size());
-
-  const auto finish = [&](Tenant& t, size_t i) {
-    t.done = true;
-    t.result.time_s = t.machine.now();
-    t.result.energy_j = t.machine.energy_joules();
-    t.result.instructions = t.machine.instructions_retired();
-    if (t.arbitrated) {
-      // Release the slot so the survivors' very next publish rebalances
-      // over the remaining demand — a finished tenant pins no budget.
-      arb.detach(t.arbitrated->slot());
-    }
-    out.tenants[i] = t.result;
-  };
 
   const auto drain_grants = [](Tenant& t) {
     if (!t.arbitrated) return;
     hal::ArbitratedPlatform::GrantChange change;
     while (t.arbitrated->poll_grant_change(&change)) {
       if (change.revoked) {
-        ++t.result.revocations;
+        ++t.result->revocations;
       } else {
-        ++t.result.grants;
+        ++t.result->grants;
       }
     }
   };
 
-  // §4.1 warm-up in lockstep: every machine runs at its construction-time
-  // maxima; controllers sleep. (The firmware backstop is live even here —
-  // real RAPL does not wait for anyone's warm-up — but with every tenant
-  // at max it simply clamps from the first over-budget quantum.)
-  bool any_alive = true;
   const auto interval_powers = [&] {
     double node_w = 0.0;
     for (auto& t : tenants) {
-      if (t->done) continue;
-      const double e = t->machine.energy_joules();
+      if (!t->stepper.running()) continue;
+      const double e = t->stepper.machine().energy_joules();
       t->power_w = (e - t->last_energy_j) / tinv;
       t->last_energy_j = e;
       node_w += t->power_w;
@@ -121,7 +107,7 @@ CotenantResult run_cotenants(const sim::MachineConfig& machine_cfg,
       // Step the hottest tenant down one level.
       Tenant* hottest = nullptr;
       for (auto& t : tenants) {
-        if (t->done) continue;
+        if (!t->stepper.running()) continue;
         if (hottest == nullptr || t->power_w > hottest->power_w) {
           hottest = t.get();
         }
@@ -132,63 +118,58 @@ CotenantResult run_cotenants(const sim::MachineConfig& machine_cfg,
       }
     } else if (node_w < options.backstop_release * options.budget_w) {
       for (auto& t : tenants) {
-        if (!t->done && t->cap < ladder.max_level()) t->cap += 1;
+        if (t->stepper.running() && t->cap < ladder.max_level()) t->cap += 1;
       }
     }
     // Enforce: clamp any machine running above its cap. The controller
     // is never told — its next write fights the clamp right back.
     for (auto& t : tenants) {
-      if (t->done) continue;
-      if (t->machine.core_frequency() > ladder.at(t->cap)) {
-        t->machine.set_core_frequency(ladder.at(t->cap));
+      if (!t->stepper.running()) continue;
+      sim::SimMachine& machine = t->stepper.machine();
+      if (machine.core_frequency() > ladder.at(t->cap)) {
+        machine.set_core_frequency(ladder.at(t->cap));
         ++out.backstop_interventions;
       }
     }
   };
 
-  for (double t0 = 0.0; t0 + tinv <= options.controller.warmup_s + 1e-12;
-       t0 += tinv) {
-    any_alive = false;
-    for (size_t i = 0; i < tenants.size(); ++i) {
-      Tenant& t = *tenants[i];
-      if (t.done) continue;
-      t.machine.advance(tinv);
-      if (t.machine.workload_done()) finish(t, i);
-      if (!t.done) any_alive = true;
-    }
-    backstop(interval_powers());
-    if (!any_alive) break;
-  }
-
-  for (auto& t : tenants) {
-    if (!t->done) t->controller->begin();
-  }
-
-  while (any_alive) {
-    any_alive = false;
-    for (size_t i = 0; i < tenants.size(); ++i) {
-      Tenant& t = *tenants[i];
-      if (t.done) continue;
-      t.machine.advance(tinv);
-      const bool completed = t.machine.workload_done();
-      // Matching run_policy: every advance is followed by exactly one
-      // tick — the final partial quantum's sensor data is accounted too.
-      t.controller->tick();
-      drain_grants(t);
-      if (completed) {
-        finish(t, i);
-      } else {
-        any_alive = true;
+  // One lockstep round: every running tenant steps one quantum, then the
+  // firmware backstop sees the node's interval power. The backstop is
+  // live in the warm-up too — real RAPL does not wait for anyone's
+  // warm-up — but with every tenant at max it simply clamps from the
+  // first over-budget quantum.
+  const auto round = [&] {
+    for (auto& t : tenants) {
+      if (!t->stepper.running()) continue;
+      t->stepper.step();
+      drain_grants(*t);
+      if (t->stepper.running()) continue;
+      sim::SimMachine& machine = t->stepper.machine();
+      t->result->time_s = machine.now();
+      t->result->energy_j = machine.energy_joules();
+      t->result->instructions = machine.instructions_retired();
+      if (t->arbitrated) {
+        // Release the slot so the survivors' very next publish rebalances
+        // over the remaining demand — a finished tenant pins no budget.
+        arb.detach(t->arbitrated->slot());
       }
     }
     backstop(interval_powers());
-  }
+  };
+  const auto any = [&](bool (Stepper::*state)() const) {
+    return std::any_of(tenants.begin(), tenants.end(),
+                       [&](const auto& t) { return (t->stepper.*state)(); });
+  };
 
-  for (const auto& t : tenants) {
-    if (t->result.time_s > out.node_time_s) {
-      out.node_time_s = t->result.time_s;
-    }
-    out.node_energy_j += t->result.energy_j;
+  // §4.1 warm-up in lockstep; every controller begins only after the
+  // last warm-up round's backstop.
+  while (any(&Stepper::warming)) round();
+  for (auto& t : tenants) t->stepper.begin();
+  while (any(&Stepper::running)) round();
+
+  for (const TenantResult& r : out.tenants) {
+    if (r.time_s > out.node_time_s) out.node_time_s = r.time_s;
+    out.node_energy_j += r.energy_j;
   }
   return out;
 }

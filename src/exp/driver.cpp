@@ -1,70 +1,150 @@
 #include "exp/driver.hpp"
 
-#include <memory>
-#include <optional>
-
-#include "arbiter/local_arbiter.hpp"
 #include "common/assert.hpp"
 #include "core/controller_factory.hpp"
-#include "hal/arbitrated.hpp"
-#include "hal/fault_injection.hpp"
-#include "sim/firmware_governor.hpp"
-#include "sim/sim_machine.hpp"
-#include "sim/sim_platform.hpp"
 
 namespace cuttlefish::exp {
 
+Stepper::Stepper(const sim::MachineConfig& machine_cfg,
+                 const sim::PhaseProgram& program, const RunOptions& options)
+    : machine_(machine_cfg, program, options.seed),
+      base_(machine_),
+      config_(options.controller),
+      warmup_target_(warmup_quanta_for(config_.tinv_s, config_.warmup_s)),
+      finished_(machine_.workload_done()),
+      capture_timeline_(options.capture_timeline) {
+  // Fault injection wraps the platform, not the machine: the workload and
+  // power model stay byte-identical, only the controller's I/O is faulted.
+  if (options.faults != nullptr) {
+    top_ = &faulty_.emplace(*top_, *options.faults);
+  }
+  // Arbitration wraps outermost (docs/ARBITER.md): the controller's
+  // writes are clamped to the granted share before any fault injection or
+  // the simulator see them. A LocalArbiter with `tenants` slots, the
+  // others idle, reproduces a single session's view of a shared budget
+  // deterministically.
+  if (options.arbiter.enabled) {
+    arbiter::ArbiterConfig acfg;
+    acfg.budget_w = options.arbiter.budget_w;
+    acfg.policy = options.arbiter.policy;
+    const int tenants =
+        options.arbiter.tenants < 1 ? 1 : options.arbiter.tenants;
+    arbiter_.emplace(acfg, tenants);
+    // Occupy the neighbours' slots first so this run's session lands on
+    // slot `tenant_index` — idle peers hold a registered, zero-demand
+    // lease, exactly what a co-tenant looks like between its ticks.
+    int index = options.arbiter.tenant_index;
+    if (index < 0 || index >= tenants) index = 0;
+    for (int i = 0; i < index; ++i) (void)arbiter_->attach();
+    top_ = &arbitrated_.emplace(*top_, *arbiter_, config_.tinv_s);
+    for (int i = index + 1; i < tenants; ++i) (void)arbiter_->attach();
+  }
+}
+
+int Stepper::warmup_quanta_for(double tinv_s, double warmup_s) {
+  // Accumulated quantum by quantum, as every run has always counted it.
+  int n = 0;
+  for (double t = 0.0; t + tinv_s <= warmup_s + 1e-12; t += tinv_s) ++n;
+  return n;
+}
+
+void Stepper::set_driver(Driver driver, const core::ControllerConfig& cfg) {
+  CF_ASSERT(driver_ == Driver::kNone && quanta_ == 0,
+            "stepper: pick one driver before the first step");
+  driver_ = driver;
+  config_ = cfg;
+  warmup_target_ = warmup_quanta_for(cfg.tinv_s, cfg.warmup_s);
+}
+
+void Stepper::drive_default() {
+  machine_.set_core_frequency(machine_.config().core_ladder.max());
+  governor_.emplace(machine_);
+  set_driver(Driver::kDefault, config_);
+}
+
+core::IController& Stepper::drive_policy(core::PolicyKind policy) {
+  config_.policy = policy;
+  // The factory picks the registered strategy for the kind (Default's
+  // ladder descent, MPC's plant-model jumps, ...).
+  owned_ = core::make_controller(*top_, config_);
+  drive(*owned_);
+  return *owned_;
+}
+
+void Stepper::drive(core::IController& controller) {
+  controller_ = &controller;
+  set_driver(Driver::kController, controller.config());
+}
+
+Session& Stepper::drive_session(Options options) {
+  options.manual_tick = true;
+  session_ = Session(*top_, options);
+  set_driver(Driver::kSession, session_.controller()->config());
+  return session_;
+}
+
+void Stepper::begin() {
+  if (begun_) return;
+  begun_ = true;
+  if (!running()) return;
+  if (driver_ == Driver::kController) controller_->begin();
+  // A manual session's first tick is its begin().
+  if (driver_ == Driver::kSession) session_.tick();
+}
+
+bool Stepper::step() {
+  if (!running()) return false;
+  const bool warm = !begun_ && warmup_done_ < warmup_target_;
+  if (!warm && !begun_) begin();
+  ++quanta_;
+  // Runs without a timeline (nearly every sweep spec) advance with no
+  // per-quantum bookkeeping.
+  if (capture_timeline_) {
+    advance_recording();
+  } else {
+    machine_.advance(config_.tinv_s);
+  }
+  // Controllers sleep through the warm-up; firmware does not.
+  if (driver_ == Driver::kDefault) {
+    governor_->tick();
+  } else if (!warm && driver_ == Driver::kController) {
+    controller_->tick();
+  } else if (!warm && driver_ == Driver::kSession) {
+    session_.tick();
+  }
+  if (warm) ++warmup_done_;
+  finished_ = machine_.workload_done();
+  return running();
+}
+
+void Stepper::advance_recording() {
+  // The counter snapshots exist only to difference into a TimePoint.
+  const uint64_t i0 = machine_.instructions_retired();
+  const uint64_t t0 = machine_.tor_inserts();
+  const double e0 = machine_.energy_joules();
+  machine_.advance(config_.tinv_s);
+  const uint64_t di = machine_.instructions_retired() - i0;
+  if (di == 0) return;
+  TimePoint pt;
+  pt.t = machine_.now();
+  pt.tipi = static_cast<double>(machine_.tor_inserts() - t0) /
+            static_cast<double>(di);
+  pt.jpi = (machine_.energy_joules() - e0) / static_cast<double>(di);
+  pt.cf = machine_.core_frequency();
+  pt.uf = machine_.uncore_frequency();
+  timeline_.push_back(pt);
+}
+
 namespace {
 
-/// Shared per-quantum bookkeeping: advances the machine one quantum,
-/// appends a timeline sample if requested, and reports progress.
-class QuantumRunner {
- public:
-  QuantumRunner(sim::SimMachine& machine, double tinv_s, bool capture,
-                std::vector<TimePoint>* timeline)
-      : machine_(&machine), tinv_(tinv_s), capture_(capture),
-        timeline_(timeline) {}
-
-  /// Returns false once the workload has completed.
-  bool step() {
-    // Non-timeline runs (the vast majority of sweep specs) advance with
-    // zero per-quantum bookkeeping; the counter snapshots exist only to
-    // difference into a TimePoint.
-    if (!capture_) {
-      machine_->advance(tinv_);
-      return !machine_->workload_done();
-    }
-    const uint64_t i0 = machine_->instructions_retired();
-    const uint64_t t0 = machine_->tor_inserts();
-    const double e0 = machine_->energy_joules();
-    machine_->advance(tinv_);
-    {
-      const auto di = machine_->instructions_retired() - i0;
-      if (di > 0) {
-        TimePoint pt;
-        pt.t = machine_->now();
-        pt.tipi = static_cast<double>(machine_->tor_inserts() - t0) /
-                  static_cast<double>(di);
-        pt.jpi = (machine_->energy_joules() - e0) / static_cast<double>(di);
-        pt.cf = machine_->core_frequency();
-        pt.uf = machine_->uncore_frequency();
-        timeline_->push_back(pt);
-      }
-    }
-    return !machine_->workload_done();
-  }
-
- private:
-  sim::SimMachine* machine_;
-  double tinv_;
-  bool capture_;
-  std::vector<TimePoint>* timeline_;
-};
-
-RunResult finish_result(const sim::SimMachine& machine, RunResult result) {
-  result.time_s = machine.now();
-  result.energy_j = machine.energy_joules();
-  result.instructions = machine.instructions_retired();
+/// Runs the stepper to the end: the machine's totals and the timeline.
+RunResult run_to_end(Stepper& stepper) {
+  stepper.run();
+  RunResult result;
+  result.time_s = stepper.machine().now();
+  result.energy_j = stepper.machine().energy_joules();
+  result.instructions = stepper.machine().instructions_retired();
+  result.timeline = std::move(stepper.timeline());
   return result;
 }
 
@@ -73,107 +153,34 @@ RunResult finish_result(const sim::SimMachine& machine, RunResult result) {
 RunResult run_default(const sim::MachineConfig& machine_cfg,
                       const sim::PhaseProgram& program,
                       const RunOptions& options) {
-  sim::SimMachine machine(machine_cfg, program, options.seed);
-  machine.set_core_frequency(machine_cfg.core_ladder.max());
-  sim::FirmwareUncoreGovernor governor(machine);
-  RunResult result;
-  QuantumRunner runner(machine, options.controller.tinv_s,
-                       options.capture_timeline, &result.timeline);
-  // Let the governor see the first quantum's traffic before adapting.
-  while (runner.step()) {
-    governor.tick();
-  }
-  return finish_result(machine, std::move(result));
+  Stepper stepper(machine_cfg, program, options);
+  stepper.drive_default();
+  return run_to_end(stepper);
 }
 
 RunResult run_fixed(const sim::MachineConfig& machine_cfg,
                     const sim::PhaseProgram& program, FreqMHz cf, FreqMHz uf,
                     const RunOptions& options) {
-  sim::SimMachine machine(machine_cfg, program, options.seed);
-  machine.set_core_frequency(cf);
-  machine.set_uncore_frequency(uf);
-  RunResult result;
-  QuantumRunner runner(machine, options.controller.tinv_s,
-                       options.capture_timeline, &result.timeline);
-  while (runner.step()) {
-  }
-  return finish_result(machine, std::move(result));
+  Stepper stepper(machine_cfg, program, options);
+  stepper.machine().set_core_frequency(cf);
+  stepper.machine().set_uncore_frequency(uf);
+  return run_to_end(stepper);
 }
 
 RunResult run_policy(const sim::MachineConfig& machine_cfg,
                      const sim::PhaseProgram& program,
                      core::PolicyKind policy, const RunOptions& options) {
-  sim::SimMachine machine(machine_cfg, program, options.seed);
-  sim::SimPlatform base(machine);
-  // Fault injection wraps the platform, not the machine: the workload and
-  // power model stay byte-identical, only the controller's I/O is faulted.
-  std::optional<hal::FaultInjectionPlatform> faulty;
-  hal::PlatformInterface* platform = &base;
-  if (options.faults != nullptr) {
-    faulty.emplace(base, *options.faults);
-    platform = &*faulty;
-  }
-  // Arbitration wraps outermost (docs/ARBITER.md): the controller's
-  // writes are clamped to the granted share before any fault injection or
-  // the simulator see them. A LocalArbiter with `tenants` slots, the
-  // others idle, reproduces a single session's view of a shared budget
-  // deterministically.
-  std::unique_ptr<arbiter::LocalArbiter> arb;
-  std::optional<hal::ArbitratedPlatform> arbitrated;
-  if (options.arbiter.enabled) {
-    arbiter::ArbiterConfig acfg;
-    acfg.budget_w = options.arbiter.budget_w;
-    acfg.policy = options.arbiter.policy;
-    const int tenants = options.arbiter.tenants < 1
-                            ? 1
-                            : options.arbiter.tenants;
-    arb = std::make_unique<arbiter::LocalArbiter>(acfg, tenants);
-    // Occupy the neighbours' slots first so this run's session lands on
-    // slot `tenant_index` — idle peers hold a registered, zero-demand
-    // lease, exactly what a co-tenant looks like between its ticks.
-    int index = options.arbiter.tenant_index;
-    if (index < 0 || index >= tenants) index = 0;
-    for (int i = 0; i < index; ++i) (void)arb->attach();
-    arbitrated.emplace(*platform, *arb, options.controller.tinv_s);
-    for (int i = index + 1; i < tenants; ++i) (void)arb->attach();
-    platform = &*arbitrated;
-  }
-  core::ControllerConfig ctl_cfg = options.controller;
-  ctl_cfg.policy = policy;
-  // The factory picks the registered strategy for the kind (Default's
-  // ladder descent, MPC's plant-model jumps, ...).
-  const std::unique_ptr<core::IController> controller =
-      core::make_controller(*platform, ctl_cfg);
-
-  RunResult result;
-  QuantumRunner runner(machine, ctl_cfg.tinv_s, options.capture_timeline,
-                       &result.timeline);
-
-  // §4.1 warm-up: the machine runs at its construction-time maximum
-  // frequencies while the daemon sleeps.
-  bool alive = true;
-  for (double t = 0.0; t + ctl_cfg.tinv_s <= ctl_cfg.warmup_s + 1e-12;
-       t += ctl_cfg.tinv_s) {
-    alive = runner.step();
-    if (!alive) break;
-  }
-  if (alive) {
-    controller->begin();
-    while (runner.step()) {
-      controller->tick();
-    }
-    // Account the final partial quantum's sensor data.
-    controller->tick();
-  }
-
-  result.stats = controller->stats();
-  for (const core::TipiNode* node = controller->list().head();
+  Stepper stepper(machine_cfg, program, options);
+  const core::IController& controller = stepper.drive_policy(policy);
+  RunResult result = run_to_end(stepper);
+  result.stats = controller.stats();
+  for (const core::TipiNode* node = controller.list().head();
        node != nullptr;
        node = node->next) {
     result.nodes.push_back(NodeSummary{node->slab, node->ticks, node->cf.opt,
                                        node->uf.opt});
   }
-  return finish_result(machine, std::move(result));
+  return result;
 }
 
 }  // namespace cuttlefish::exp

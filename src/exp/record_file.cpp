@@ -1,6 +1,7 @@
 #include "exp/record_file.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -41,6 +42,14 @@ bool write_all(int fd, std::string_view bytes) {
 }
 
 bool write_file_atomic(const std::string& path, std::string_view body) {
+  // The rename would put a regular file where a FIFO, socket or device
+  // node stood; refuse instead of destroying it.
+  struct stat st;
+  if (::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
+    CF_LOG_ERROR("record file: not replacing %s: not a regular file",
+                 path.c_str());
+    return false;
+  }
   static std::atomic<uint64_t> next_temp{0};
   const std::string tmp =
       path + ".tmp-" + std::to_string(static_cast<long>(::getpid())) + "-" +

@@ -30,6 +30,8 @@ bool write_all(int fd, std::string_view bytes);
 /// Replaces `path` with `body` through a temp file beside it, named per
 /// process and per call so concurrent writers never share one. On failure
 /// logs why, removes the temp, leaves `path` as it was and returns false.
+/// An existing `path` that is not a regular file (a FIFO, a device node)
+/// is a failure too: the rename would replace it.
 bool write_file_atomic(const std::string& path, std::string_view body);
 
 /// The frame `magic | body | checksum64(body)`.

@@ -8,11 +8,10 @@
 
 #include "core/controller.hpp"
 #include "core/trace.hpp"
+#include "exp/driver.hpp"
 #include "hal/backend.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/phase_workload.hpp"
-#include "sim/sim_machine.hpp"
-#include "sim/sim_platform.hpp"
 
 namespace cuttlefish {
 namespace {
@@ -45,9 +44,10 @@ struct RunCapture {
 RunCapture run_filtered(core::PolicyKind policy, CapabilitySet allowed) {
   const sim::MachineConfig machine_cfg = sim::haswell_2650v3();
   const sim::PhaseProgram program = two_slab_program();
-  sim::SimMachine machine(machine_cfg, program, /*seed=*/7);
-  sim::SimPlatform inner(machine);
-  hal::CapabilityFilter platform(inner, allowed);
+  exp::RunOptions options;
+  options.seed = 7;
+  exp::Stepper stepper(machine_cfg, program, options);
+  hal::CapabilityFilter platform(stepper.platform(), allowed);
 
   core::ControllerConfig cfg;
   cfg.policy = policy;
@@ -56,16 +56,8 @@ RunCapture run_filtered(core::PolicyKind policy, CapabilitySet allowed) {
   controller.set_trace(&trace);
   RunCapture capture;
   controller.set_telemetry(&capture.telemetry);
-
-  for (double t = 0.0; t + cfg.tinv_s <= cfg.warmup_s + 1e-12;
-       t += cfg.tinv_s) {
-    machine.advance(cfg.tinv_s);
-  }
-  controller.begin();
-  while (!machine.workload_done()) {
-    machine.advance(cfg.tinv_s);
-    controller.tick();
-  }
+  stepper.drive(controller);
+  stepper.run();
 
   capture.trace = trace.snapshot();
   capture.stats = controller.stats();
@@ -76,7 +68,7 @@ RunCapture run_filtered(core::PolicyKind policy, CapabilitySet allowed) {
        node = node->next) {
     capture.cf_opts.emplace_back(node->slab, node->cf.opt);
   }
-  capture.final_uncore = machine.uncore_frequency();
+  capture.final_uncore = stepper.machine().uncore_frequency();
   return capture;
 }
 

@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <utility>
 
+#include "core/controller.hpp"
+#include "core/controller_factory.hpp"
+#include "core/session.hpp"
+#include "core/trace.hpp"
 #include "exp/calibrate.hpp"
 #include "exp/metrics.hpp"
 #include "sim/machine_config.hpp"
@@ -130,6 +136,185 @@ TEST_F(DriverTest, CalibrationScalesInstructionsNotStructure) {
                 ratio, 1e-9);
     EXPECT_DOUBLE_EQ(calibrated.segments()[i].op.tipi,
                      raw.segments()[i].op.tipi);
+  }
+}
+
+// --- the one co-simulation loop -------------------------------------------
+
+/// Tinv values of the paper's Table 3 with the warm-up quanta that fit in
+/// its 2 s; counting `t < warmup_s` instead gives 67 and 34 at 30 and
+/// 60 ms.
+constexpr std::pair<double, int> kWarmups[] = {
+    {0.02, 100}, {0.03, 66}, {0.06, 33}};
+
+/// Counts every call the controller makes through it.
+class CountingPlatform final : public hal::PlatformInterface {
+ public:
+  explicit CountingPlatform(hal::PlatformInterface& inner) : inner_(&inner) {}
+
+  hal::CapabilitySet capabilities() const override {
+    return inner_->capabilities();
+  }
+  const FreqLadder& core_ladder() const override {
+    return inner_->core_ladder();
+  }
+  const FreqLadder& uncore_ladder() const override {
+    return inner_->uncore_ladder();
+  }
+  FreqMHz core_frequency() const override { return inner_->core_frequency(); }
+  FreqMHz uncore_frequency() const override {
+    return inner_->uncore_frequency();
+  }
+  hal::IoOutcome apply_core_frequency(FreqMHz f) override {
+    ++calls;
+    return inner_->apply_core_frequency(f);
+  }
+  hal::IoOutcome apply_uncore_frequency(FreqMHz f) override {
+    ++calls;
+    return inner_->apply_uncore_frequency(f);
+  }
+  hal::SampleOutcome sample_sensors() override {
+    ++calls;
+    return inner_->sample_sensors();
+  }
+
+  int calls = 0;
+
+ private:
+  hal::PlatformInterface* inner_;
+};
+
+void expect_same_stats(const core::ControllerStats& a,
+                       const core::ControllerStats& b) {
+  EXPECT_EQ(a.ticks, b.ticks);
+  EXPECT_EQ(a.idle_ticks, b.idle_ticks);
+  EXPECT_EQ(a.transitions, b.transitions);
+  EXPECT_EQ(a.samples_recorded, b.samples_recorded);
+  EXPECT_EQ(a.freq_writes, b.freq_writes);
+  EXPECT_EQ(a.nodes_inserted, b.nodes_inserted);
+  EXPECT_EQ(a.sensor_read_errors, b.sensor_read_errors);
+  EXPECT_EQ(a.actuator_write_errors, b.actuator_write_errors);
+  EXPECT_EQ(a.io_retries, b.io_retries);
+  EXPECT_EQ(a.quarantines, b.quarantines);
+  EXPECT_EQ(a.recoveries, b.recoveries);
+}
+
+TEST_F(DriverTest, EveryDriverRunsTheSameWarmupQuanta) {
+  const sim::PhaseProgram p = two_phase_program();
+  for (const auto& [tinv, quanta] : kWarmups) {
+    EXPECT_EQ(Stepper::warmup_quanta_for(tinv, 2.0), quanta);
+    RunOptions opt;
+    opt.controller.tinv_s = tinv;
+    Options session_opt;
+    session_opt.controller = opt.controller;
+    for (int driver = 0; driver < 5; ++driver) {
+      Stepper stepper(machine, p, opt);
+      std::unique_ptr<core::IController> own;
+      switch (driver) {
+        case 0:  // nothing ticks: a fixed pair
+          stepper.machine().set_core_frequency(machine.core_ladder.min());
+          break;
+        case 1:
+          stepper.drive_default();
+          break;
+        case 2:
+          stepper.drive_policy(core::PolicyKind::kFull);
+          break;
+        case 3:
+          own = core::make_controller(stepper.platform(), opt.controller);
+          stepper.drive(*own);
+          break;
+        default:
+          stepper.drive_session(session_opt);
+          break;
+      }
+      ASSERT_TRUE(stepper.start()) << "driver " << driver;
+      EXPECT_EQ(stepper.warmup_quanta(), quanta)
+          << "driver " << driver << " at " << tinv << " s";
+      EXPECT_EQ(stepper.quanta(), quanta);
+      EXPECT_TRUE(stepper.step());
+      EXPECT_EQ(stepper.warmup_quanta(), quanta);
+    }
+  }
+}
+
+TEST_F(DriverTest, WorkloadEndingInWarmupIsNeverBegun) {
+  sim::PhaseProgram p;
+  p.add(1e9, 1.0, 0.05);  // tens of virtual ms: done inside the warm-up
+  const RunOptions opt;
+
+  // A controller built over the caller's own decorator: neither begin()'s
+  // baseline and pin-to-max writes nor any tick reach the platform.
+  {
+    Stepper stepper(machine, p, opt);
+    CountingPlatform counting(stepper.platform());
+    core::Controller controller(counting, opt.controller);
+    core::DecisionTrace trace(1024);
+    controller.set_trace(&trace);
+    stepper.drive(controller);
+    const int calls_before = counting.calls;
+    stepper.run();
+    EXPECT_FALSE(stepper.running());
+    EXPECT_LT(stepper.warmup_quanta(),
+              Stepper::warmup_quanta_for(opt.controller.tinv_s,
+                                         opt.controller.warmup_s));
+    EXPECT_EQ(stepper.quanta(), stepper.warmup_quanta());
+    EXPECT_EQ(counting.calls, calls_before);
+    EXPECT_EQ(controller.stats().ticks, 0u);
+    EXPECT_EQ(controller.stats().freq_writes, 0u);
+    EXPECT_EQ(trace.total_recorded(), 0u);
+  }
+  // A manual-tick Session: its first tick (begin()) never comes either.
+  {
+    Stepper stepper(machine, p, opt);
+    core::DecisionTrace trace(1024);
+    Options session_opt;
+    session_opt.trace = &trace;
+    const Session& session = stepper.drive_session(session_opt);
+    stepper.run();
+    EXPECT_FALSE(stepper.running());
+    EXPECT_EQ(stepper.quanta(), stepper.warmup_quanta());
+    EXPECT_EQ(session.controller()->stats().ticks, 0u);
+    EXPECT_EQ(session.controller()->stats().freq_writes, 0u);
+    EXPECT_EQ(trace.total_recorded(), 0u);
+  }
+}
+
+TEST_F(DriverTest, SessionDriverMatchesControllerDriverAtEveryTinv) {
+  // A warm-up counted as `t < warmup_s` runs one quantum more than
+  // run_policy at 30 and 60 ms and shifts every later decision; the
+  // Session and controller drivers must agree at every Tinv.
+  const sim::PhaseProgram program = build_calibrated(
+      workloads::find_benchmark("HPCCG"), machine, 1);
+  for (const auto& [tinv, quanta] : kWarmups) {
+    RunOptions opt;
+    opt.controller.tinv_s = tinv;
+    core::DecisionTrace by_controller(1 << 16);
+    core::DecisionTrace by_session(1 << 16);
+    core::ControllerStats controller_stats;
+    core::ControllerStats session_stats;
+    {
+      Stepper stepper(machine, program, opt);
+      core::IController& c = stepper.drive_policy(opt.controller.policy);
+      c.set_trace(&by_controller);
+      stepper.run();
+      controller_stats = c.stats();
+    }
+    {
+      Stepper stepper(machine, program, opt);
+      Options session_opt;
+      session_opt.controller = opt.controller;
+      session_opt.trace = &by_session;
+      const Session& session = stepper.drive_session(session_opt);
+      stepper.run();
+      EXPECT_EQ(stepper.warmup_quanta(), quanta);
+      session_stats = session.controller()->stats();
+    }
+    SCOPED_TRACE(tinv);
+    EXPECT_GT(by_controller.total_recorded(), 0u);
+    EXPECT_EQ(by_session.total_recorded(), by_controller.total_recorded());
+    EXPECT_EQ(by_session.snapshot(), by_controller.snapshot());
+    expect_same_stats(session_stats, controller_stats);
   }
 }
 

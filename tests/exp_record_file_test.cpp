@@ -1,12 +1,13 @@
 // The record-file primitive on its own: frames written by encode_frame
 // scan back until the first bad one, single-frame files say what is
-// wrong with them, and concurrent atomic replaces of one path never tear
-// or leak a temp. The formats built on it are covered exhaustively in
-// exp_corruption_test.
+// wrong with them, concurrent atomic replaces of one path never tear or
+// leak a temp, and a replace never clobbers a FIFO. The formats built on
+// it are covered exhaustively in exp_corruption_test.
 
 #include "exp/record_file.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -128,6 +129,28 @@ TEST(RecordFile, ConcurrentReplacesOfOnePathNeverTear) {
     names.push_back(e.path().filename().string());
   }
   EXPECT_EQ(names, std::vector<std::string>{"shared"});
+  fs::remove_all(dir);
+}
+
+TEST(RecordFile, AtomicReplaceRefusesAFifo) {
+  // The rename would leave a regular file where the FIFO stood, and a
+  // bench's `--json-out fifo` would exit 0. Never tested against a
+  // device node.
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("cuttlefish_record_fifo_test_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "pipe").string();
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+
+  EXPECT_FALSE(write_file_atomic(path, "body"));
+  EXPECT_TRUE(fs::is_fifo(path));
+  std::vector<std::string> names;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    names.push_back(e.path().filename().string());
+  }
+  EXPECT_EQ(names, std::vector<std::string>{"pipe"});
   fs::remove_all(dir);
 }
 

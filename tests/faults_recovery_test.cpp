@@ -8,13 +8,12 @@
 
 #include <gtest/gtest.h>
 
-#include "core/controller.hpp"
+#include "core/icontroller.hpp"
 #include "core/trace.hpp"
+#include "exp/driver.hpp"
 #include "hal/fault_injection.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/phase_workload.hpp"
-#include "sim/sim_machine.hpp"
-#include "sim/sim_platform.hpp"
 
 namespace cuttlefish {
 namespace {
@@ -50,41 +49,28 @@ struct RunCapture {
 RunCapture run_with_schedule(const FaultSchedule* schedule) {
   const sim::MachineConfig machine_cfg = sim::haswell_2650v3();
   const sim::PhaseProgram program = two_slab_program();
-  sim::SimMachine machine(machine_cfg, program, /*seed=*/7);
-  sim::SimPlatform base(machine);
-  std::optional<hal::FaultInjectionPlatform> faulty;
-  hal::PlatformInterface* platform = &base;
-  if (schedule != nullptr) {
-    faulty.emplace(base, *schedule);
-    platform = &*faulty;
-  }
-
-  core::ControllerConfig cfg;
-  cfg.policy = core::PolicyKind::kFull;
-  core::Controller controller(*platform, cfg);
+  exp::RunOptions options;
+  options.seed = 7;
+  options.faults = schedule;
+  exp::Stepper stepper(machine_cfg, program, options);
+  core::IController& controller =
+      stepper.drive_policy(core::PolicyKind::kFull);
   core::DecisionTrace trace(1 << 16);
   controller.set_trace(&trace);
   RunCapture capture;
   controller.set_telemetry(&capture.telemetry);
-
-  for (double t = 0.0; t + cfg.tinv_s <= cfg.warmup_s + 1e-12;
-       t += cfg.tinv_s) {
-    machine.advance(cfg.tinv_s);
-  }
-  controller.begin();
-  while (!machine.workload_done()) {
-    machine.advance(cfg.tinv_s);
-    controller.tick();
-  }
+  stepper.run();
 
   capture.trace = trace.snapshot();
   capture.stats = controller.stats();
   capture.effective = controller.effective_policy();
   capture.any_quarantine = controller.any_quarantine();
   capture.safe_mode = controller.safe_mode();
-  if (faulty) capture.faults = faulty->fault_stats();
-  capture.machine_time_s = machine.now();
-  capture.machine_energy_j = machine.energy_joules();
+  if (stepper.faults() != nullptr) {
+    capture.faults = stepper.faults()->fault_stats();
+  }
+  capture.machine_time_s = stepper.machine().now();
+  capture.machine_energy_j = stepper.machine().energy_joules();
   return capture;
 }
 

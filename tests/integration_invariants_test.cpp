@@ -11,8 +11,6 @@
 #include "exp/calibrate.hpp"
 #include "exp/driver.hpp"
 #include "sim/machine_config.hpp"
-#include "sim/sim_machine.hpp"
-#include "sim/sim_platform.hpp"
 #include "workloads/suite.hpp"
 
 namespace cuttlefish {
@@ -31,25 +29,20 @@ class InvariantHarness {
       : machine_cfg_(sim::haswell_2650v3()),
         program_(exp::build_calibrated(
             workloads::find_benchmark(benchmark), machine_cfg_, seed)),
-        machine_(machine_cfg_, program_, seed),
-        platform_(machine_) {
+        stepper_(machine_cfg_, program_, run_options(seed)) {
     core::ControllerConfig cfg;
     cfg.policy = policy;
-    controller_ = std::make_unique<core::Controller>(platform_, cfg);
+    controller_ = std::make_unique<core::Controller>(stepper_.platform(), cfg);
+    stepper_.drive(*controller_);
   }
 
   /// Runs to completion, checking invariants after every tick. Returns
   /// the number of ticks executed.
   int run_checked() {
-    const double tinv = controller_->config().tinv_s;
-    for (double t = 0.0; t < controller_->config().warmup_s; t += tinv) {
-      machine_.advance(tinv);
-    }
-    controller_->begin();
     int ticks = 0;
-    while (!machine_.workload_done()) {
-      machine_.advance(tinv);
-      controller_->tick();
+    stepper_.start();
+    while (stepper_.running()) {
+      stepper_.step();
       ++ticks;
       check_invariants();
     }
@@ -134,10 +127,15 @@ class InvariantHarness {
     }
   }
 
+  static exp::RunOptions run_options(uint64_t seed) {
+    exp::RunOptions options;
+    options.seed = seed;
+    return options;
+  }
+
   sim::MachineConfig machine_cfg_;
   sim::PhaseProgram program_;
-  sim::SimMachine machine_;
-  sim::SimPlatform platform_;
+  exp::Stepper stepper_;
   std::unique_ptr<core::Controller> controller_;
   std::map<int64_t, WindowSnapshot> last_;
 };
@@ -169,16 +167,16 @@ TEST(Invariants, SteadyStateStopsWritingMsrs) {
   const sim::MachineConfig machine_cfg = sim::haswell_2650v3();
   sim::PhaseProgram p;
   p.add(2.5e12, 1.2, 0.066);  // single memory-bound slab
-  sim::SimMachine machine(machine_cfg, p, 3);
-  sim::SimPlatform platform(machine);
-  core::Controller controller(platform, core::ControllerConfig{});
-  for (double t = 0.0; t < 2.0; t += 0.02) machine.advance(0.02);
-  controller.begin();
+  exp::RunOptions options;
+  options.seed = 3;
+  exp::Stepper stepper(machine_cfg, p, options);
+  const core::IController& controller =
+      stepper.drive_policy(options.controller.policy);
+  stepper.start();
   uint64_t writes_at_steady = 0;
   bool steady = false;
-  while (!machine.workload_done()) {
-    machine.advance(0.02);
-    controller.tick();
+  while (stepper.running()) {
+    stepper.step();
     const core::TipiNode* n = controller.list().head();
     if (!steady && n != nullptr && n->cf.complete() && n->uf.complete()) {
       steady = true;

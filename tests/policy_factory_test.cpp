@@ -200,39 +200,19 @@ TEST(PolicyGolden, Fig10SmokeGridIsByteIdenticalToPreSeamController) {
 }
 
 TEST(PolicyGolden, DefaultDecisionTraceIsByteIdenticalToPreSeamController) {
-  // One kFull run (HPCCG, seed 1000) through the factory, replicating
-  // exp::run_policy's warm-up/tick loop with a trace sink attached. The
-  // digest covers every TraceRecord field of every decision.
+  // One kFull run (HPCCG, seed 1000) through the factory, stepped by
+  // exp::run_policy's own loop with a trace sink attached. The digest
+  // covers every TraceRecord field of every decision.
   const sim::MachineConfig machine = sim::haswell_2650v3();
   const auto& model = workloads::find_benchmark("HPCCG");
   const sim::PhaseProgram program =
       exp::build_calibrated(model, machine, 1000);
-  sim::SimMachine sim_machine(machine, program, 1000);
-  sim::SimPlatform platform(sim_machine);
-  core::ControllerConfig cfg;
-  cfg.policy = PolicyKind::kFull;
-  const auto controller = core::make_controller(platform, cfg);
+  exp::RunOptions options;
+  options.seed = 1000;
+  exp::Stepper stepper(machine, program, options);
   core::DecisionTrace trace(1 << 20);
-  controller->set_trace(&trace);
-
-  bool alive = true;
-  for (double t = 0.0; t + cfg.tinv_s <= cfg.warmup_s + 1e-12;
-       t += cfg.tinv_s) {
-    sim_machine.advance(cfg.tinv_s);
-    if (sim_machine.workload_done()) {
-      alive = false;
-      break;
-    }
-  }
-  if (alive) {
-    controller->begin();
-    while (true) {
-      sim_machine.advance(cfg.tinv_s);
-      const bool done = sim_machine.workload_done();
-      controller->tick();
-      if (done) break;
-    }
-  }
+  stepper.drive_policy(PolicyKind::kFull).set_trace(&trace);
+  stepper.run();
 
   EXPECT_EQ(trace.total_recorded(), 181u);
   Fnv f;
@@ -260,26 +240,18 @@ TEST(PolicyGolden, FactoryDefaultMatchesDirectControllerExactly) {
 
   const auto run = [&](bool via_factory, core::DecisionTrace* trace,
                        core::ControllerStats* stats) {
-    sim::SimMachine sim_machine(machine, program, 7);
-    sim::SimPlatform platform(sim_machine);
-    core::ControllerConfig cfg;
-    std::unique_ptr<core::IController> owned;
-    core::Controller direct(platform, cfg);
+    exp::RunOptions options;
+    options.seed = 7;
+    exp::Stepper stepper(machine, program, options);
+    core::Controller direct(stepper.platform(), options.controller);
     core::IController* c = &direct;
     if (via_factory) {
-      owned = core::make_controller(platform, cfg);
-      c = owned.get();
+      c = &stepper.drive_policy(options.controller.policy);
+    } else {
+      stepper.drive(direct);
     }
     c->set_trace(trace);
-    for (double t = 0.0; t + cfg.tinv_s <= cfg.warmup_s + 1e-12;
-         t += cfg.tinv_s) {
-      sim_machine.advance(cfg.tinv_s);
-    }
-    c->begin();
-    while (!sim_machine.workload_done()) {
-      sim_machine.advance(cfg.tinv_s);
-      c->tick();
-    }
+    stepper.run();
     *stats = c->stats();
   };
 

@@ -17,12 +17,11 @@
 #include "core/region.hpp"
 #include "core/session.hpp"
 #include "core/trace.hpp"
+#include "exp/driver.hpp"
 #include "hal/fault_injection.hpp"
 #include "hal/platform.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/phase_workload.hpp"
-#include "sim/sim_machine.hpp"
-#include "sim/sim_platform.hpp"
 
 namespace cuttlefish {
 namespace {
@@ -238,25 +237,18 @@ TEST(MpcSession, RegionsWarmStartUnderMpc) {
   for (int i = 0; i < 2; ++i) {
     program.add(1.5e12, 1.0, 0.025);  // one recurring kernel, one slab
   }
-  sim::SimMachine machine(machine_cfg, program, 1);
-  sim::SimPlatform platform(machine);
+  exp::Stepper stepper(machine_cfg, program, exp::RunOptions{});
   Options options;
-  options.manual_tick = true;
   options.controller.policy = PolicyKind::kMpc;
-  Session session(platform, options);
-  const core::ControllerConfig& cfg = session.controller()->config();
-  for (double t = 0.0; t < cfg.warmup_s; t += cfg.tinv_s) {
-    machine.advance(cfg.tinv_s);
-  }
-  session.tick();  // arm
+  Session& session = stepper.drive_session(options);
+  stepper.start();
 
   const double half = program.total_instructions() / 2.0;
   const auto run_until = [&](double boundary) {
-    while (!machine.workload_done() &&
-           static_cast<double>(
-               platform.sample_sensors().sample.instructions) < boundary) {
-      machine.advance(cfg.tinv_s);
-      session.tick();
+    while (stepper.running() &&
+           static_cast<double>(stepper.machine().instructions_retired()) <
+               boundary) {
+      stepper.step();
     }
   };
   ASSERT_TRUE(session.enter_region("kernel"));
@@ -287,32 +279,18 @@ FaultedRun run_mpc_with_faults(const hal::FaultSchedule* schedule) {
     program.add(6e9, 1.0, 0.02);
     program.add(6e9, 1.3, 0.30);
   }
-  sim::SimMachine machine(machine_cfg, program, 7);
-  sim::SimPlatform inner(machine);
-  std::optional<hal::FaultInjectionPlatform> faulty;
-  hal::PlatformInterface* platform = &inner;
-  if (schedule != nullptr) {
-    faulty.emplace(inner, *schedule);
-    platform = &*faulty;
-  }
-  core::ControllerConfig cfg;
-  cfg.policy = PolicyKind::kMpc;
-  const auto controller = core::make_controller(*platform, cfg);
+  exp::RunOptions options;
+  options.seed = 7;
+  options.faults = schedule;
+  exp::Stepper stepper(machine_cfg, program, options);
+  core::IController& controller = stepper.drive_policy(PolicyKind::kMpc);
   core::DecisionTrace trace(1 << 16);
-  controller->set_trace(&trace);
-  for (double t = 0.0; t + cfg.tinv_s <= cfg.warmup_s + 1e-12;
-       t += cfg.tinv_s) {
-    machine.advance(cfg.tinv_s);
-  }
-  controller->begin();
-  while (!machine.workload_done()) {
-    machine.advance(cfg.tinv_s);
-    controller->tick();
-  }
+  controller.set_trace(&trace);
+  stepper.run();
   FaultedRun out;
   out.trace = trace.snapshot();
-  out.stats = controller->stats();
-  out.final_policy = controller->effective_policy();
+  out.stats = controller.stats();
+  out.final_policy = controller.effective_policy();
   return out;
 }
 

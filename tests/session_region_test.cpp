@@ -23,10 +23,9 @@
 #include "core/session.hpp"
 #include "core/trace.hpp"
 #include "exp/calibrate.hpp"
+#include "exp/driver.hpp"
 #include "exp/record_file.hpp"
 #include "sim/machine_config.hpp"
-#include "sim/sim_machine.hpp"
-#include "sim/sim_platform.hpp"
 #include "workloads/suite.hpp"
 
 namespace cuttlefish {
@@ -47,41 +46,44 @@ sim::PhaseProgram recurring_kernel(int cycles) {
   return program;
 }
 
-/// Virtual-time harness: simulator + manual-tick session.
+/// Virtual-time harness: the co-simulation stepper driving a manual-tick
+/// session, started past its warm-up (the first tick is the daemon's
+/// begin()).
 struct ManualRun {
   sim::MachineConfig machine = sim::haswell_2650v3();
-  sim::PhaseProgram program;  // must outlive sim (SimMachine keeps a ptr)
-  sim::SimMachine sim;
-  sim::SimPlatform platform;
+  sim::PhaseProgram program;  // must outlive the stepper's machine
   core::DecisionTrace trace{65536};
   std::vector<core::TickTelemetry> telemetry;
-  Session session;
+  exp::Stepper stepper;
+  Session& session;
 
   explicit ManualRun(int cycles, uint64_t seed = 1)
       : program(recurring_kernel(cycles)),
-        sim(machine, program, seed),
-        platform(sim) {
+        stepper(machine, program, run_options(seed)),
+        session(stepper.drive_session(session_options())) {
+    stepper.start();
+  }
+
+  static exp::RunOptions run_options(uint64_t seed) {
+    exp::RunOptions options;
+    options.seed = seed;
+    return options;
+  }
+
+  Options session_options() {
     Options options;
-    options.manual_tick = true;
     options.trace = &trace;
     options.telemetry = &telemetry;
-    session = Session(platform, options);
-    const core::ControllerConfig& cfg = session.controller()->config();
-    for (double t = 0.0; t < cfg.warmup_s; t += cfg.tinv_s) {
-      sim.advance(cfg.tinv_s);
-    }
-    session.tick();  // arm (the daemon's begin())
+    return options;
   }
 
   /// Tick until `boundary` total instructions have retired (or the
   /// workload ends).
   void run_until_instructions(double boundary) {
-    const core::ControllerConfig& cfg = session.controller()->config();
-    while (!sim.workload_done() &&
-           static_cast<double>(
-               platform.sample_sensors().sample.instructions) < boundary) {
-      sim.advance(cfg.tinv_s);
-      session.tick();
+    while (stepper.running() &&
+           static_cast<double>(stepper.machine().instructions_retired()) <
+               boundary) {
+      stepper.step();
     }
   }
 };
@@ -364,16 +366,9 @@ TEST(Region, SavedProfileBytesArePinned) {
       workloads::find_benchmark("HPCCG"), machine, 7);
   sim::PhaseProgram program;
   program.repeat(3, cycle.segments());
-  sim::SimMachine sim_machine(machine, program, 7);
-  sim::SimPlatform platform(sim_machine);
-  Options options;
-  options.manual_tick = true;
-  Session session(platform, options);
-  const core::ControllerConfig& cfg = session.controller()->config();
-  for (double t = 0.0; t < cfg.warmup_s; t += cfg.tinv_s) {
-    sim_machine.advance(cfg.tinv_s);
-  }
-  session.tick();
+  exp::Stepper stepper(machine, program, ManualRun::run_options(7));
+  Session& session = stepper.drive_session(Options{});
+  stepper.start();
 
   const std::vector<std::string> names = {
       "", "say \"hi\" \\ bye", std::string("\x01\b\f\n\r\t\x1f\x7f", 8),
@@ -382,12 +377,10 @@ TEST(Region, SavedProfileBytesArePinned) {
   constexpr int kEntries = 12;
   for (int k = 1; k <= kEntries; ++k) {
     Region region(session, names[static_cast<size_t>(k) % names.size()]);
-    while (!sim_machine.workload_done() &&
-           static_cast<double>(
-               platform.sample_sensors().sample.instructions) <
+    while (stepper.running() &&
+           static_cast<double>(stepper.machine().instructions_retired()) <
                total * k / kEntries) {
-      sim_machine.advance(cfg.tinv_s);
-      session.tick();
+      stepper.step();
     }
   }
 
