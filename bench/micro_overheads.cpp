@@ -4,10 +4,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <vector>
 
 #include "core/explorer.hpp"
 #include "core/tipi_list.hpp"
@@ -197,13 +199,11 @@ BENCHMARK(BM_ControllerTickFaultWrapped);
 
 // --- CF_BENCH_GATE: fault machinery stays in the noise floor ----------------
 
-/// Steady-state ticks/s of a controller over the sim platform (wrapped in
-/// an injector when `faults` is set), measured after 1000 settling ticks.
-double measure_ticks_per_s(const hal::FaultSchedule* faults) {
-  const auto stepper = settled_stepper(faults, 1000);
+/// Steady-state ticks/s of one timed sample of `stepper`.
+double ticks_per_s(exp::Stepper& stepper) {
   constexpr int kTicks = 50000;
   const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < kTicks; ++i) stepper->step();
+  for (int i = 0; i < kTicks; ++i) stepper.step();
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -213,16 +213,36 @@ double measure_ticks_per_s(const hal::FaultSchedule* faults) {
 /// The paper's "for free" claim, made fatal: the error-aware HAL contract
 /// plus health tracking may not slow the steady-state tick by more than
 /// 50% even through the fault-injection decorator (in practice the two
-/// are within noise of each other; 1.5x absorbs shared-CI jitter).
+/// are within noise of each other; 1.5x absorbs shared-CI jitter). The
+/// two stacks, each settled by 1000 ticks, are timed in alternating
+/// rounds (which one goes first alternates too), and the gate reads the
+/// median round's ratio: one noisy sample cannot decide it.
 int run_overhead_gate() {
-  const double plain_tps = measure_ticks_per_s(nullptr);
+  constexpr int kRounds = 9;
   const hal::FaultSchedule empty;
-  const double wrapped_tps = measure_ticks_per_s(&empty);
-
-  const double ratio = plain_tps / wrapped_tps;
-  std::printf("fault-machinery overhead: plain %.0f ticks/s, "
-              "fault-wrapped %.0f ticks/s -> %.3fx slowdown\n",
-              plain_tps, wrapped_tps, ratio);
+  const auto plain = settled_stepper(nullptr, 1000);
+  const auto wrapped = settled_stepper(&empty, 1000);
+  std::vector<double> ratios;
+  for (int round = 0; round < kRounds; ++round) {
+    double plain_tps = 0.0;
+    double wrapped_tps = 0.0;
+    if (round % 2 == 0) {
+      plain_tps = ticks_per_s(*plain);
+      wrapped_tps = ticks_per_s(*wrapped);
+    } else {
+      wrapped_tps = ticks_per_s(*wrapped);
+      plain_tps = ticks_per_s(*plain);
+    }
+    ratios.push_back(plain_tps / wrapped_tps);
+    std::printf("fault-machinery round %d: plain %.0f ticks/s, "
+                "fault-wrapped %.0f ticks/s -> %.3fx\n",
+                round + 1, plain_tps, wrapped_tps, ratios.back());
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const double ratio = ratios[kRounds / 2];
+  std::printf("fault-machinery overhead: median of %d rounds %.3fx "
+              "slowdown\n",
+              kRounds, ratio);
   if (std::getenv("CF_BENCH_GATE") != nullptr && ratio > 1.5) {
     std::fprintf(stderr,
                  "FAIL: fault machinery costs %.3fx (> 1.5x gate) on the "

@@ -22,10 +22,14 @@
 // positive serial.virtual_s_per_wall_s exits 2 before the serial run.
 //
 // --cache-dir DIR measures the content-addressed result cache: a cold
-// cached run (misses simulate and persist) followed by a warm re-run
-// (every spec served from disk), both verified bit-identical to the
-// uncached serial table. CF_BENCH_GATE=1 requires the warm re-run to be
-// >= 20x faster than cold (and keeps the 2x-vs-baseline throughput gate).
+// cached run (misses simulate and persist), a warm re-run on the same
+// cache object (every spec served from disk), and a re-open: a fresh
+// ResultCache on the same directory runs the grid again, paying the
+// open-time scan as every re-run of a figure bench does (reopen_open_s
+// is the scan, reopen_wall_s the scan plus the sweep). All three are
+// verified bit-identical to the uncached serial table. CF_BENCH_GATE=1
+// requires the warm re-run to be >= 20x faster than cold (and keeps the
+// 2x-vs-baseline throughput gate).
 //
 // --shard i/N + --table-out FILE runs only the grid cells shard i owns
 // and writes them as a partial result table; --merge FILE... (repeated,
@@ -744,10 +748,11 @@ int main(int argc, char** argv) {
   json.field("all_identical_to_serial", all_identical);
 
   // Content-addressed cache: a cold cached run (simulate + persist every
-  // miss) then a warm re-run (served entirely from disk), both checked
-  // bit-identical to the uncached serial table. The 20x warm gate only
-  // makes sense when the cold run actually simulated the whole grid, so a
-  // pre-populated --cache-dir downgrades it to a report.
+  // miss), a warm re-run (served entirely from disk) and a re-open of the
+  // directory, all checked bit-identical to the uncached serial table.
+  // The 20x warm gate only makes sense when the cold run actually
+  // simulated the whole grid, so a pre-populated --cache-dir downgrades
+  // it to a report.
   bool cache_identical = true;
   bool cache_cold = false;
   double warm_speedup = 0.0;
@@ -763,8 +768,16 @@ int main(int argc, char** argv) {
     const std::vector<exp::RunResult> warm =
         exp::run_sweep(grid, nullptr, &cache, &warm_stats);
     const double warm_wall = now_s() - w0;
+    const double r0 = now_s();
+    exp::ResultCache reopened(cache_dir);
+    const double reopen_open = now_s() - r0;
+    exp::SweepRunStats reopen_stats;
+    const std::vector<exp::RunResult> reopen =
+        exp::run_sweep(grid, nullptr, &reopened, &reopen_stats);
+    const double reopen_wall = now_s() - r0;
     cache_identical = digest(grid, cold) == serial_digest &&
-                      digest(grid, warm) == serial_digest;
+                      digest(grid, warm) == serial_digest &&
+                      digest(grid, reopen) == serial_digest;
     cache_cold = cold_stats.cache_misses == grid.size();
     warm_speedup = cold_wall / warm_wall;
     std::printf("  cache cold: %7.3fs wall (%zu hits / %zu misses)\n",
@@ -773,6 +786,10 @@ int main(int argc, char** argv) {
                 "%.1fx vs cold, results %s\n",
                 warm_wall, warm_stats.cache_hits, warm_stats.cache_misses,
                 warm_speedup, cache_identical ? "bit-identical" : "MISMATCH");
+    std::printf("  cache reopen: %5.3fs wall, open %.4fs (%zu hits / %zu "
+                "misses)\n",
+                reopen_wall, reopen_open, reopen_stats.cache_hits,
+                reopen_stats.cache_misses);
     benchharness::JsonWriter row;
     row.field("dir", cache_dir);
     row.field("cold_wall_s", cold_wall, 4);
@@ -782,6 +799,11 @@ int main(int argc, char** argv) {
     row.field("warm_hits", static_cast<int64_t>(warm_stats.cache_hits));
     row.field("warm_misses", static_cast<int64_t>(warm_stats.cache_misses));
     row.field("warm_speedup", warm_speedup, 2);
+    row.field("reopen_open_s", reopen_open, 6);
+    row.field("reopen_wall_s", reopen_wall, 6);
+    row.field("reopen_hits", static_cast<int64_t>(reopen_stats.cache_hits));
+    row.field("reopen_misses",
+              static_cast<int64_t>(reopen_stats.cache_misses));
     row.field("truly_cold", cache_cold);
     row.field("identical_to_serial", cache_identical);
     json.raw("cache", row.compact());

@@ -37,7 +37,10 @@
 //   cuttlefishctl sweep status <dir>         journal + quarantine summary
 //
 // policy: full (default) | core | uncore | monitor | mpc — any name
-// `cuttlefishctl policies` lists.
+// `cuttlefishctl policies` lists. demo, trace and faults configure their
+// controller through the CUTTLEFISH_* overrides (CUTTLEFISH_TINV_MS, ...),
+// as a Session does; an explicit policy argument wins over
+// CUTTLEFISH_POLICY.
 
 #include <cstdio>
 #include <cstdlib>
@@ -153,13 +156,24 @@ double positive_arg(const char* name, const char* text) {
   return *value;
 }
 
-core::PolicyKind parse_policy_arg(const char* arg) {
-  if (arg == nullptr) return core::PolicyKind::kFull;
+/// Run options whose controller config went through the CUTTLEFISH_*
+/// overrides, as a Session's does.
+exp::RunOptions env_run_options() {
+  exp::RunOptions options;
+  options.controller = core::apply_env_overrides(options.controller);
+  return options;
+}
+
+/// The named policy, or `fallback` (the configured one) without a name.
+core::PolicyKind parse_policy_arg(const char* arg,
+                                  core::PolicyKind fallback) {
+  if (arg == nullptr) return fallback;
   const auto parsed = core::policy_kind_from_string(arg);
   if (!parsed) {
-    std::fprintf(stderr, "unknown policy '%s' (registered: %s), using full\n",
-                 arg, core::known_policy_names().c_str());
-    return core::PolicyKind::kFull;
+    std::fprintf(stderr, "unknown policy '%s' (registered: %s), using %s\n",
+                 arg, core::known_policy_names().c_str(),
+                 core::policy_name(fallback));
+    return fallback;
   }
   return *parsed;
 }
@@ -178,11 +192,12 @@ int cmd_policies() {
 
 int cmd_demo(const char* bench, const char* policy_arg) {
   const auto& model = workloads::find_benchmark(bench);
-  const core::PolicyKind policy = parse_policy_arg(policy_arg);
+  const exp::RunOptions opt = env_run_options();
+  const core::PolicyKind policy =
+      parse_policy_arg(policy_arg, opt.controller.policy);
   const sim::MachineConfig machine = sim::haswell_2650v3();
   sim::PhaseProgram program = exp::build_calibrated(model, machine, 1);
 
-  exp::RunOptions opt;
   const exp::RunResult base = exp::run_default(machine, program, opt);
   const exp::RunResult pol = exp::run_policy(machine, program, policy, opt);
   const exp::Comparison c = exp::compare(pol, base);
@@ -232,9 +247,11 @@ int cmd_trace(const char* bench, const char* policy_arg,
   const sim::MachineConfig machine = sim::haswell_2650v3();
   sim::PhaseProgram program = exp::build_calibrated(model, machine, 1);
 
-  exp::Stepper stepper(machine, program, exp::RunOptions{});
+  const exp::RunOptions options = env_run_options();
+  exp::Stepper stepper(machine, program, options);
   core::DecisionTrace trace(65536);
-  stepper.drive_policy(parse_policy_arg(policy_arg)).set_trace(&trace);
+  stepper.drive_policy(parse_policy_arg(policy_arg, options.controller.policy))
+      .set_trace(&trace);
   stepper.run();
 
   const std::string text =
@@ -440,7 +457,7 @@ int cmd_faults(const char* bench) {
   // A 9-op uncore write outage: outlasts the retry budget, so the device
   // is quarantined and the policy re-narrows until backoff probes heal it.
   schedule.add({hal::FaultKind::kUncoreWriteError, 1, 9, 0});
-  exp::RunOptions options;
+  exp::RunOptions options = env_run_options();
   options.faults = &schedule;
   exp::Stepper stepper(machine, program, options);
 

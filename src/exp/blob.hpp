@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 /// Tiny flat binary codec shared by the spec digest's canonical form and
 /// the result-cache shard records: an append-only little-endian writer and
@@ -32,11 +33,12 @@ class BlobWriter {
     std::memcpy(&bits, &v, sizeof(bits));
     u64(bits);
   }
-  void str(const std::string& s) {
+  void str(std::string_view s) {
     u32(static_cast<uint32_t>(s.size()));
     append(s.data(), s.size());
   }
   void bytes(const void* p, size_t n) { append(p, n); }
+  void reserve(size_t n) { buf_.reserve(n); }
 
   size_t size() const { return buf_.size(); }
   const std::string& data() const { return buf_; }

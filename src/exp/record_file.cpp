@@ -7,7 +7,6 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 
 #include "common/log.hpp"
 #include "exp/spec_digest.hpp"
@@ -21,12 +20,30 @@ uint64_t checksum64(const void* data, size_t size) {
   return digest_bytes(data, size).lo;
 }
 
+FdCloser::~FdCloser() {
+  if (fd >= 0) ::close(fd);
+}
+
 bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) return false;
+  const FdCloser file(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (file.fd < 0) return false;
+  // One byte past the hinted size, so a file that did not change since
+  // the fstat is read whole and its end seen in two read() calls.
+  struct stat st;
+  const size_t hint = ::fstat(file.fd, &st) == 0 && S_ISREG(st.st_mode)
+                          ? static_cast<size_t>(st.st_size)
+                          : 0;
+  std::string data(hint + 1, '\0');
+  size_t used = 0;
+  while (true) {
+    if (used == data.size()) data.resize(2 * data.size());
+    const ssize_t n = ::read(file.fd, data.data() + used, data.size() - used);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return false;  // a directory fails here with EISDIR
+    if (n == 0) break;
+    used += static_cast<size_t>(n);
+  }
+  data.resize(used);
   *out = std::move(data);
   return true;
 }
@@ -37,6 +54,18 @@ bool write_all(int fd, std::string_view bytes) {
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) return false;
     bytes.remove_prefix(static_cast<size_t>(n));
+  }
+  return true;
+}
+
+bool read_at(int fd, uint64_t offset, char* dst, size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::pread(fd, dst, size, static_cast<off_t>(offset));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    dst += n;
+    size -= static_cast<size_t>(n);
+    offset += static_cast<uint64_t>(n);
   }
   return true;
 }

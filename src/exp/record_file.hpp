@@ -21,11 +21,29 @@ namespace cuttlefish::exp {
 /// The checksum every frame carries: the low half of digest_bytes.
 uint64_t checksum64(const void* data, size_t size);
 
-/// Whole file into *out. False when it cannot be opened or read.
+/// Whole file into *out: one open, the size from fstat as a hint, then
+/// read() to end of file (retrying EINTR), so a file costs a few system
+/// calls and one copy. False, with *out untouched, when it cannot be
+/// opened or read: a missing path, a directory, an I/O error.
 bool read_file(const std::string& path, std::string* out);
+
+/// Owns a file descriptor and closes it on destruction; a negative `fd`
+/// (a failed open) owns nothing.
+struct FdCloser {
+  explicit FdCloser(int owned) : fd(owned) {}
+  ~FdCloser();
+  FdCloser(const FdCloser&) = delete;
+  FdCloser& operator=(const FdCloser&) = delete;
+  int fd;
+};
 
 /// Writes all of `bytes` to `fd`, retrying short writes. False on error.
 bool write_all(int fd, std::string_view bytes);
+
+/// Reads exactly `size` bytes at `offset` of `fd` into `dst` with
+/// pread(), retrying short reads and EINTR. False on error or when the
+/// file ends first (a shard truncated after it was indexed).
+bool read_at(int fd, uint64_t offset, char* dst, size_t size);
 
 /// Replaces `path` with `body` through a temp file beside it, named per
 /// process and per call so concurrent writers never share one. On failure

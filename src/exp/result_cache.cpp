@@ -1,9 +1,14 @@
 #include "exp/result_cache.hpp"
 
+#include <fcntl.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <numeric>
+#include <tuple>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
@@ -190,31 +195,78 @@ void ResultCache::scan_shard(const std::string& path) {
   }
 }
 
-bool ResultCache::read_span(size_t shard, uint64_t offset, uint32_t len,
-                           std::string* out) const {
-  std::ifstream in(shard_paths_[shard], std::ios::binary);
-  if (!in) return false;
-  in.seekg(static_cast<std::streamoff>(offset));
-  std::string buf(len, '\0');
-  in.read(buf.data(), static_cast<std::streamsize>(len));
-  if (in.gcount() != static_cast<std::streamsize>(len)) return false;
-  *out = std::move(buf);
-  return true;
+void ResultCache::read_entries(
+    const std::vector<size_t>& wanted, bool with_spec,
+    const std::function<bool(size_t k, std::string_view bytes)>& use)
+    const {
+  // Shard, then offset: each file is opened once and read front to back,
+  // and repeats of one entry sit together so its bytes are read once.
+  std::vector<size_t> order(wanted.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    const Entry& x = entries_[wanted[a]];
+    const Entry& y = entries_[wanted[b]];
+    return std::tie(x.shard, x.spec_offset, a) <
+           std::tie(y.shard, y.spec_offset, b);
+  });
+  constexpr size_t kNone = ~size_t{0};
+  size_t shard = kNone;
+  std::optional<FdCloser> file;  // the open shard's
+  size_t last = kNone;           // the entry `bytes` belongs to
+  bool last_ok = false;
+  std::string bytes;
+  for (const size_t k : order) {
+    const Entry& e = entries_[wanted[k]];
+    if (e.shard != shard) {
+      shard = e.shard;
+      file.emplace(::open(shard_paths_[shard].c_str(), O_RDONLY | O_CLOEXEC));
+      if (file->fd < 0) {
+        CF_LOG_WARN("result cache: cannot open shard %s (%s); its entries "
+                    "are misses",
+                    shard_paths_[shard].c_str(), std::strerror(errno));
+      }
+    }
+    if (file->fd < 0) continue;
+    if (wanted[k] == last) {
+      if (last_ok) last_ok = use(k, bytes);
+      continue;
+    }
+    last = wanted[k];
+    bytes.resize(e.result_len + (with_spec ? e.spec_len : 0));
+    last_ok = read_at(file->fd, with_spec ? e.spec_offset : e.result_offset,
+                      bytes.data(), bytes.size()) &&
+              use(k, bytes);
+    if (!last_ok) {
+      CF_LOG_WARN("result cache: entry %s unreadable; treating as a miss",
+                  e.digest.hex().c_str());
+    }
+  }
+}
+
+size_t ResultCache::lookup(std::span<Lookup> batch) {
+  std::vector<size_t> wanted;
+  std::vector<size_t> request;  // the batch position of wanted[j]
+  for (size_t k = 0; k < batch.size(); ++k) {
+    batch[k].hit = false;
+    const auto it = index_.find(batch[k].digest);
+    if (it == index_.end()) continue;
+    wanted.push_back(it->second);
+    request.push_back(k);
+  }
+  size_t hits = 0;
+  read_entries(wanted, /*with_spec=*/false,
+               [&](size_t j, std::string_view bytes) {
+                 Lookup& l = batch[request[j]];
+                 l.hit = decode_result(bytes.data(), bytes.size(), l.out);
+                 hits += l.hit ? 1 : 0;
+                 return l.hit;
+               });
+  return hits;
 }
 
 bool ResultCache::lookup(const SpecDigest& digest, RunResult* out) {
-  const auto it = index_.find(digest);
-  if (it == index_.end()) return false;
-  const Entry& entry = entries_[it->second];
-  std::string bytes;
-  if (!read_span(entry.shard, entry.result_offset, entry.result_len,
-                 &bytes) ||
-      !decode_result(bytes.data(), bytes.size(), out)) {
-    CF_LOG_WARN("result cache: entry %s unreadable; treating as a miss",
-                digest.hex().c_str());
-    return false;
-  }
-  return true;
+  Lookup one{digest, out, false};
+  return lookup(std::span<Lookup>(&one, 1)) == 1;
 }
 
 void ResultCache::insert_batch(const std::vector<Insert>& batch) {
@@ -346,18 +398,17 @@ uint64_t ResultCache::gc(uint64_t max_bytes) {
 
 bool ResultCache::entry(size_t i, EntryView* out) {
   if (i >= entries_.size()) return false;
-  const Entry& entry = entries_[i];
-  std::string result_bytes;
-  if (!read_span(entry.shard, entry.spec_offset, entry.spec_len,
-                 &out->spec_blob) ||
-      !read_span(entry.shard, entry.result_offset, entry.result_len,
-                 &result_bytes) ||
-      !decode_result(result_bytes.data(), result_bytes.size(),
-                     &out->result)) {
-    return false;
-  }
-  out->digest = entry.digest;
-  return true;
+  const Entry& e = entries_[i];
+  bool ok = false;
+  read_entries({i}, /*with_spec=*/true,
+               [&](size_t, std::string_view bytes) {
+                 ok = decode_result(bytes.data() + e.spec_len, e.result_len,
+                                    &out->result);
+                 if (ok) out->spec_blob.assign(bytes.data(), e.spec_len);
+                 return ok;
+               });
+  if (ok) out->digest = e.digest;
+  return ok;
 }
 
 // ---- sharded partial result tables ------------------------------------

@@ -1,8 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -44,9 +47,23 @@ class ResultCache {
   bool contains(const SpecDigest& digest) const {
     return index_.count(digest) != 0;
   }
-  /// Serves a cached result, decoded from its shard file. False on a miss
-  /// (including entries whose shard vanished or re-corrupted since the
-  /// open-time scan — a failed read is demoted to a miss, never trusted).
+  /// One request of a batch lookup: `out` receives the cached result
+  /// when `hit` comes back true, and is left alone otherwise.
+  struct Lookup {
+    SpecDigest digest;
+    RunResult* out = nullptr;
+    bool hit = false;
+  };
+  /// Serves a batch: the indexed requests are grouped by shard, each
+  /// shard file is opened once, and its result spans are read in offset
+  /// order and decoded. Sets every request's `hit`; returns the number of
+  /// hits. A failed read is demoted to a miss, never trusted: a shard
+  /// that vanished or cannot be opened since the open-time scan (logged
+  /// once per shard), a span cut off by truncation or a result that does
+  /// not decode (logged once per entry). No descriptor or payload outlives
+  /// the call.
+  size_t lookup(std::span<Lookup> batch);
+  /// The batch of one. False on a miss.
   bool lookup(const SpecDigest& digest, RunResult* out);
 
   struct Insert {
@@ -103,8 +120,17 @@ class ResultCache {
 
   void scan_all();
   void scan_shard(const std::string& path);
-  bool read_span(size_t shard, uint64_t offset, uint32_t len,
-                 std::string* out) const;
+  /// The one read path behind lookup() and entry(): calls `use(k, bytes)`
+  /// for each of `wanted` (indices into entries_; any order, repeats
+  /// allowed) with its record's result bytes, preceded by its spec bytes
+  /// when `with_spec` is set (the two spans are adjacent in a record).
+  /// Each shard is opened once and read in offset order. `use` returns
+  /// whether the bytes decoded; an entry that cannot be read or decoded
+  /// is logged once and not offered again.
+  void read_entries(
+      const std::vector<size_t>& wanted, bool with_spec,
+      const std::function<bool(size_t k, std::string_view bytes)>& use)
+      const;
 
   std::string dir_;
   std::vector<std::string> shard_paths_;

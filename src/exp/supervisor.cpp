@@ -276,13 +276,6 @@ std::string describe_failure(const QuarantineRow& row) {
   return buf;
 }
 
-struct FdCloser {
-  int fd = -1;
-  ~FdCloser() {
-    if (fd >= 0) ::close(fd);
-  }
-};
-
 }  // namespace
 
 // ---- crash-spec parsing ------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <tuple>
 #include <utility>
 
@@ -193,41 +194,41 @@ void run_indices(const SweepGrid& grid, const std::vector<uint64_t>& indices,
     return;
   }
   const std::vector<RunSpec>& specs = grid.specs();
+  // Digest every cacheable spec, then serve them in one batch, which
+  // opens each shard once. Fault-injected specs bypass the cache
+  // entirely: the schedule is not part of the digest identity, so serving
+  // a clean cached result (or persisting a faulted one under the clean
+  // key) would be wrong.
+  std::vector<ResultCache::Lookup> lookups;
+  lookups.reserve(indices.size());
+  for (const uint64_t idx : indices) {
+    if (specs[idx].options.faults != nullptr) continue;
+    lookups.push_back(
+        ResultCache::Lookup{digest_spec(specs[idx]), &(*results)[idx], false});
+  }
+  const size_t hits = cache->lookup(std::span(lookups));
+
+  // Hits and misses sorted in index order, as the specs came: the miss
+  // list, and so the new shard's bytes and name, do not depend on the
+  // batch. A miss's spec is encoded again for its record (cheap beside
+  // its co-simulation), and its insert points at the result slot the
+  // run fills.
   std::vector<uint64_t> misses;
-  std::vector<uint64_t> persistable;  // misses minus fault-injected specs
-  std::vector<SpecDigest> miss_digests;
-  std::vector<std::string> miss_blobs;
-  size_t hits = 0;
+  std::vector<ResultCache::Insert> inserts;
+  size_t next = 0;  // the next lookup, in index order
   for (const uint64_t idx : indices) {
     if (specs[idx].options.faults != nullptr) {
-      // Fault-injected specs bypass the cache entirely: the schedule is
-      // not part of the digest identity, so serving a clean cached result
-      // (or persisting a faulted one under the clean key) would be wrong.
       misses.push_back(idx);
       continue;
     }
-    std::string blob = encode_spec(specs[idx]);
-    const SpecDigest digest = digest_bytes(blob.data(), blob.size());
-    if (cache->lookup(digest, &(*results)[idx])) {
-      ++hits;
-    } else {
-      misses.push_back(idx);
-      persistable.push_back(idx);
-      miss_digests.push_back(digest);
-      miss_blobs.push_back(std::move(blob));
-    }
+    const size_t k = next++;
+    if (lookups[k].hit) continue;
+    misses.push_back(idx);
+    inserts.push_back(ResultCache::Insert{
+        lookups[k].digest, encode_spec(specs[idx]), &(*results)[idx]});
   }
   run_subset(grid, misses, scheduler, results);
-  if (!persistable.empty()) {
-    std::vector<ResultCache::Insert> batch;
-    batch.reserve(persistable.size());
-    for (size_t i = 0; i < persistable.size(); ++i) {
-      batch.push_back(ResultCache::Insert{miss_digests[i],
-                                          std::move(miss_blobs[i]),
-                                          &(*results)[persistable[i]]});
-    }
-    cache->insert_batch(batch);
-  }
+  if (!inserts.empty()) cache->insert_batch(inserts);
   cache->note_run(hits, misses.size());
   if (stats != nullptr) {
     stats->cache_hits = hits;

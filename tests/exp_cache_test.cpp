@@ -14,6 +14,7 @@
 #include <fstream>
 #include <functional>
 #include <random>
+#include <span>
 #include <thread>
 
 #include "exp/spec_digest.hpp"
@@ -767,6 +768,170 @@ TEST(exp_cache, CacheDirVanishingMidRunDegradesToSimulation) {
   }
   EXPECT_EQ(stats0.cache_hits, 0u);
   fs::remove_all(moved);
+}
+
+// ---- batch lookup ------------------------------------------------------
+
+/// Every cell of a two-shard store: its digest, its uncached serial
+/// result, and where its record's result span lies in its shard file.
+struct StoredCell {
+  SpecDigest digest;
+  RunResult serial;
+  fs::path shard;
+  uint64_t result_begin = 0;
+  uint64_t result_end = 0;
+};
+
+/// Fills `store` with two shards, one cached sweep of make_grid each
+/// (seed bases 900 and 7777), and locates every cell's record by its
+/// digest, which opens the record's body: digest (16), spec and result
+/// lengths (4 + 4), spec bytes, result bytes.
+std::vector<StoredCell> fill_two_shards(const TempStore& store,
+                                        const sim::MachineConfig& machine) {
+  std::vector<StoredCell> cells;
+  {
+    ResultCache cache(store.path());
+    for (const uint64_t seed0 : {uint64_t{900}, uint64_t{7777}}) {
+      const SweepGrid grid = make_grid(machine, 1, seed0);
+      run_sweep(grid, nullptr, &cache, nullptr);
+      const auto serial = run_sweep(grid, nullptr);
+      for (size_t i = 0; i < grid.size(); ++i) {
+        cells.push_back({digest_spec(grid.specs()[i]), serial[i], {}, 0, 0});
+      }
+    }
+  }
+  for (const fs::path& shard : store.shards()) {
+    std::ifstream in(shard, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    for (StoredCell& cell : cells) {
+      std::string key(16, '\0');
+      std::memcpy(key.data(), &cell.digest.hi, 8);
+      std::memcpy(key.data() + 8, &cell.digest.lo, 8);
+      const size_t at = bytes.find(key);
+      if (at == std::string::npos) continue;
+      uint32_t spec_len = 0, result_len = 0;
+      std::memcpy(&spec_len, bytes.data() + at + 16, 4);
+      std::memcpy(&result_len, bytes.data() + at + 20, 4);
+      cell.shard = shard;
+      cell.result_begin = at + 24 + spec_len;
+      cell.result_end = cell.result_begin + result_len;
+    }
+  }
+  return cells;
+}
+
+/// One batch lookup of every cell; (*served)[i] receives cell i's result.
+std::vector<ResultCache::Lookup> lookup_cells(
+    ResultCache& cache, const std::vector<StoredCell>& cells,
+    std::vector<RunResult>* served) {
+  served->assign(cells.size(), RunResult{});
+  std::vector<ResultCache::Lookup> batch;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    batch.push_back({cells[i].digest, &(*served)[i], false});
+  }
+  cache.lookup(std::span(batch));
+  return batch;
+}
+
+TEST(exp_cache, BatchLookupServesWhatSingleLookupsServe) {
+  const sim::MachineConfig machine = sim::haswell_2650v3();
+  TempStore store("batch");
+  const std::vector<StoredCell> cells = fill_two_shards(store, machine);
+  ASSERT_EQ(store.shards().size(), 2u);
+  for (const StoredCell& cell : cells) ASSERT_FALSE(cell.shard.empty());
+  const SweepGrid absent = make_grid(machine, 1, 4242);
+  ResultCache cache(store.path());
+
+  // Cells from both shards in reverse order, a miss after every second
+  // one, and the first cell asked for twice.
+  std::vector<SpecDigest> digests;
+  std::vector<const StoredCell*> expected;  // null for a miss
+  for (size_t i = cells.size(); i-- > 0;) {
+    digests.push_back(cells[i].digest);
+    expected.push_back(&cells[i]);
+    if (i % 2 == 0) {
+      digests.push_back(digest_spec(absent.specs()[i / 2]));
+      expected.push_back(nullptr);
+    }
+  }
+  digests.push_back(cells[0].digest);
+  expected.push_back(&cells[0]);
+
+  std::vector<RunResult> served(digests.size());
+  std::vector<ResultCache::Lookup> batch;
+  for (size_t k = 0; k < digests.size(); ++k) {
+    batch.push_back({digests[k], &served[k], true});
+  }
+  EXPECT_EQ(cache.lookup(std::span(batch)), cells.size() + 1);
+  for (size_t k = 0; k < digests.size(); ++k) {
+    RunResult single;
+    const bool single_hit = cache.lookup(digests[k], &single);
+    EXPECT_EQ(batch[k].hit, expected[k] != nullptr) << k;
+    EXPECT_EQ(single_hit, batch[k].hit) << k;
+    if (expected[k] == nullptr) {
+      EXPECT_TRUE(same_result_bytes(served[k], RunResult{})) << k;
+      continue;
+    }
+    EXPECT_TRUE(same_result_bytes(served[k], single)) << k;
+    EXPECT_TRUE(same_result_bytes(served[k], expected[k]->serial)) << k;
+  }
+}
+
+TEST(exp_cache, UnlinkedShardMissesOnlyItsOwnEntries) {
+  const sim::MachineConfig machine = sim::haswell_2650v3();
+  TempStore store("unlinked");
+  const std::vector<StoredCell> cells = fill_two_shards(store, machine);
+  ResultCache cache(store.path());
+  const fs::path gone = store.shards()[0];
+  fs::remove(gone);
+
+  size_t survivors = 0;
+  for (const StoredCell& cell : cells) survivors += cell.shard != gone;
+  ASSERT_GT(survivors, 0u);
+  ASSERT_LT(survivors, cells.size());
+  std::vector<RunResult> served;
+  const auto batch = lookup_cells(cache, cells, &served);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(batch[i].hit, cells[i].shard != gone) << i;
+    if (batch[i].hit) {
+      EXPECT_TRUE(same_result_bytes(served[i], cells[i].serial)) << i;
+    }
+  }
+}
+
+TEST(exp_cache, TruncatedShardAfterOpenMissesExactlyTheCutSpans) {
+  const sim::MachineConfig machine = sim::haswell_2650v3();
+  TempStore store("cut");
+  const std::vector<StoredCell> cells = fill_two_shards(store, machine);
+  ResultCache cache(store.path());
+
+  // Cut the first shard in the middle of the result span that starts
+  // second in the file: the record before it stays whole.
+  const fs::path cut_shard = store.shards()[0];
+  std::vector<const StoredCell*> in_shard;
+  for (const StoredCell& cell : cells) {
+    if (cell.shard == cut_shard) in_shard.push_back(&cell);
+  }
+  ASSERT_GE(in_shard.size(), 3u);
+  std::sort(in_shard.begin(), in_shard.end(),
+            [](const StoredCell* a, const StoredCell* b) {
+              return a->result_begin < b->result_begin;
+            });
+  const uint64_t cut =
+      (in_shard[1]->result_begin + in_shard[1]->result_end) / 2;
+  fs::resize_file(cut_shard, cut);
+
+  std::vector<RunResult> served;
+  const auto batch = lookup_cells(cache, cells, &served);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const bool cut_off =
+        cells[i].shard == cut_shard && cells[i].result_end > cut;
+    EXPECT_EQ(batch[i].hit, !cut_off) << i;
+    if (batch[i].hit) {
+      EXPECT_TRUE(same_result_bytes(served[i], cells[i].serial)) << i;
+    }
+  }
 }
 
 TEST(exp_cache, ReadOnlyCacheDirMidRunKeepsHitsAndSimulatesMisses) {

@@ -1,11 +1,13 @@
 // The record-file primitive on its own: frames written by encode_frame
 // scan back until the first bad one, single-frame files say what is
-// wrong with them, concurrent atomic replaces of one path never tear or
-// leak a temp, and a replace never clobbers a FIFO. The formats built on
-// it are covered exhaustively in exp_corruption_test.
+// wrong with them, read_file and read_at return every byte or false,
+// concurrent atomic replaces of one path never tear or leak a temp, and
+// a replace never clobbers a FIFO. The formats built on it are covered
+// exhaustively in exp_corruption_test.
 
 #include "exp/record_file.hpp"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -79,6 +81,92 @@ TEST(RecordFile, WholeFrameSaysWhatIsWrong) {
   EXPECT_FALSE(whole_frame(file.substr(0, file.size() - 1), kMagic, &body,
                            &error));
   EXPECT_EQ(error, "failed its checksum (torn or corrupt)");
+}
+
+/// A fresh directory per test; the caller removes it.
+fs::path fresh_dir(const std::string& tag) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("cuttlefish_record_" + tag + "_" +
+                        std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir;
+}
+
+/// 1 MiB + 1 bytes with no repeating period a lost or doubled chunk
+/// could hide behind.
+std::string big_body() {
+  std::string body((1u << 20) + 1, '\0');
+  uint32_t x = 12345;
+  for (char& c : body) {
+    x = x * 1103515245u + 12345u;
+    c = static_cast<char>(x >> 24);
+  }
+  return body;
+}
+
+TEST(RecordFile, ReadFileReturnsEveryByteOrFalse) {
+  const fs::path dir = fresh_dir("read");
+  const std::string body = big_body();
+  const std::string path = (dir / "big").string();
+  ASSERT_TRUE(write_file_atomic(path, body));
+  std::string got;
+  ASSERT_TRUE(read_file(path, &got));
+  EXPECT_EQ(got.size(), body.size());
+  EXPECT_TRUE(got == body);
+
+  // A FIFO has no size to hint at and delivers the body a pipe buffer at
+  // a time, so the read loop runs many times and grows the string.
+  const std::string fifo = (dir / "pipe").string();
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  std::thread writer([&] {
+    const int fd = ::open(fifo.c_str(), O_WRONLY | O_CLOEXEC);
+    if (fd >= 0) {
+      write_all(fd, body);
+      ::close(fd);
+    }
+  });
+  got.clear();
+  const bool read_fifo = read_file(fifo, &got);
+  writer.join();
+  EXPECT_TRUE(read_fifo);
+  EXPECT_EQ(got.size(), body.size());
+  EXPECT_TRUE(got == body);
+
+  const std::string empty = (dir / "empty").string();
+  ASSERT_TRUE(write_file_atomic(empty, ""));
+  got = "stale";
+  EXPECT_TRUE(read_file(empty, &got));
+  EXPECT_EQ(got, "");
+
+  // Failures leave *out as it was.
+  got = "stale";
+  EXPECT_FALSE(read_file((dir / "absent").string(), &got));
+  EXPECT_FALSE(read_file(dir.string(), &got));
+  EXPECT_EQ(got, "stale");
+  fs::remove_all(dir);
+}
+
+TEST(RecordFile, ReadAtReadsWholeSpansOnly) {
+  const fs::path dir = fresh_dir("read_at");
+  const std::string body = big_body();
+  const std::string path = (dir / "big").string();
+  ASSERT_TRUE(write_file_atomic(path, body));
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(fd, 0);
+  std::string span(4096, '\0');
+  for (const uint64_t offset :
+       {uint64_t{0}, uint64_t{4097}, uint64_t{body.size() - 4096}}) {
+    ASSERT_TRUE(read_at(fd, offset, span.data(), span.size())) << offset;
+    EXPECT_TRUE(span == body.substr(offset, span.size())) << offset;
+  }
+  // A span running past the end is a short read: false.
+  EXPECT_FALSE(read_at(fd, body.size() - 100, span.data(), span.size()));
+  EXPECT_FALSE(read_at(fd, body.size() + 1, span.data(), 1));
+  EXPECT_TRUE(read_at(fd, body.size(), span.data(), 0));
+  ::close(fd);
+  EXPECT_FALSE(read_at(-1, 0, span.data(), 1));
+  fs::remove_all(dir);
 }
 
 TEST(RecordFile, ConcurrentReplacesOfOnePathNeverTear) {
