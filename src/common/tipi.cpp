@@ -1,6 +1,5 @@
 #include "common/tipi.hpp"
 
-#include <cmath>
 #include <cstdio>
 
 #include "common/assert.hpp"
@@ -9,11 +8,6 @@ namespace cuttlefish {
 
 TipiSlabber::TipiSlabber(double width) : width_(width) {
   CF_ASSERT(width > 0.0, "slab width must be positive");
-}
-
-int64_t TipiSlabber::slab_of(double tipi) const {
-  CF_ASSERT(tipi >= 0.0, "TIPI is a ratio of non-negative counters");
-  return static_cast<int64_t>(std::floor(tipi / width_));
 }
 
 double TipiSlabber::lower_bound(int64_t slab) const {

@@ -1,7 +1,10 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
+
+#include "common/assert.hpp"
 
 namespace cuttlefish {
 
@@ -18,7 +21,11 @@ class TipiSlabber {
   explicit TipiSlabber(double width = kPaperSlabWidth);
 
   double width() const { return width_; }
-  int64_t slab_of(double tipi) const;
+  /// Inline: the controller slabs every tick's TIPI.
+  int64_t slab_of(double tipi) const {
+    CF_ASSERT(tipi >= 0.0, "TIPI is a ratio of non-negative counters");
+    return static_cast<int64_t>(std::floor(tipi / width_));
+  }
   double lower_bound(int64_t slab) const;
   double upper_bound(int64_t slab) const;
   /// Human-readable "0.064-0.068" formatting used in the paper's tables.

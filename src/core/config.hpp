@@ -60,6 +60,8 @@ struct ControllerConfig {
   double watchdog_overrun_factor = 1.0;
   int watchdog_overrun_limit = 8;
   int watchdog_exception_limit = 3;
+
+  bool operator==(const ControllerConfig&) const = default;
 };
 
 }  // namespace cuttlefish::core

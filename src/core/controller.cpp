@@ -44,11 +44,10 @@ Controller::Controller(hal::PlatformInterface& platform, ControllerConfig cfg)
   apply_capabilities();
 }
 
-/// Move queued arbiter grant changes into the decision trace. The
+/// drain_grant_changes() on an arbitrated, traced controller. The
 /// wrapper's queue is bounded by ticks since the last drain, so this is
 /// O(grant movements), usually zero.
-void Controller::drain_grant_changes() {
-  if (arbitrated_ == nullptr || trace_ == nullptr) return;
+void Controller::record_grant_changes() {
   hal::ArbitratedPlatform::GrantChange change;
   while (arbitrated_->poll_grant_change(&change)) {
     const double mw = change.watts * 1000.0;

@@ -162,7 +162,12 @@ class Controller : public IController {
 
  private:
   void apply_capabilities();
-  void drain_grant_changes();
+  /// Move queued arbiter grant changes into the decision trace; inline,
+  /// since an unarbitrated or untraced run has none to move.
+  void drain_grant_changes() {
+    if (arbitrated_ != nullptr && trace_ != nullptr) record_grant_changes();
+  }
+  void record_grant_changes();
   void note_degradation(Domain domain, hal::CapabilitySet lost);
   void refresh_effective();
   PolicyKind runtime_narrowed_policy(bool jpi_ok) const;

@@ -13,6 +13,10 @@ namespace {
 /// The longest Tinv or warm-up the environment may set, in seconds: the
 /// daemon converts both to int64 nanoseconds, which overflow near 9.2e9 s.
 constexpr double kMaxDurationS = 1e9;
+/// The shortest Tinv the environment may set, in milliseconds (1 µs): the
+/// paper's 2 s warm-up is then 2e6 quanta. Far shorter ones overflow the
+/// co-simulation's int warm-up count or stop advancing its clock.
+constexpr double kMinTinvMs = 0.001;
 constexpr double kMinPositive = std::numeric_limits<double>::denorm_min();
 
 std::optional<std::string> env(const char* name) {
@@ -88,7 +92,7 @@ ControllerConfig apply_env_overrides(ControllerConfig base) {
   override_from<double>(
       "CUTTLEFISH_TINV_MS",
       [](const std::string& t) {
-        return parse_in(t, kMinPositive, kMaxDurationS * 1000.0);
+        return parse_in(t, kMinTinvMs, kMaxDurationS * 1000.0);
       },
       [&](double ms) { base.tinv_s = ms / 1000.0; });
   // Zero warm-up is legitimate (tests, steady workloads).

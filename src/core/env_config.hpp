@@ -15,7 +15,7 @@ namespace cuttlefish::core {
 ///
 ///   CUTTLEFISH_POLICY        full | core | uncore | monitor | mpc
 ///   CUTTLEFISH_TINV_MS       profiling interval in milliseconds
-///                            (0 < ms <= 1e12)
+///                            (0.001 <= ms <= 1e12)
 ///   CUTTLEFISH_WARMUP_S      warm-up duration in seconds (0 <= s <= 1e9)
 ///   CUTTLEFISH_JPI_SAMPLES   readings per frequency, a whole number in
 ///                            1..1000000

@@ -1,9 +1,31 @@
 #include "exp/driver.hpp"
 
+#include <cstdio>
+#include <limits>
+#include <string>
+
 #include "common/assert.hpp"
 #include "core/controller_factory.hpp"
 
 namespace cuttlefish::exp {
+
+namespace {
+
+/// The most warm-up quanta a pair may ask for: half of INT_MAX, which
+/// leaves the quantum-by-quantum sum's rounding drift (a few hundred
+/// quanta at most at this count) far from overflowing the int count.
+constexpr double kMaxWarmupQuanta = std::numeric_limits<int>::max() / 2;
+
+std::string warmup_refusal(double tinv_s, double warmup_s) {
+  char text[160];
+  std::snprintf(text, sizeof(text),
+                "Tinv %g s with warm-up %g s: the warm-up quantum count "
+                "does not fit an int",
+                tinv_s, warmup_s);
+  return text;
+}
+
+}  // namespace
 
 Stepper::Stepper(const sim::MachineConfig& machine_cfg,
                  const sim::PhaseProgram& program, const RunOptions& options)
@@ -42,6 +64,10 @@ Stepper::Stepper(const sim::MachineConfig& machine_cfg,
 }
 
 int Stepper::warmup_quanta_for(double tinv_s, double warmup_s) {
+  // Refused up front: a count past INT_MAX overflows `n`, and a Tinv too
+  // small to move `t` (t + tinv_s == t) would never end the loop.
+  CF_ASSERT(tinv_s > 0.0 && (warmup_s + 1e-12) / tinv_s <= kMaxWarmupQuanta,
+            warmup_refusal(tinv_s, warmup_s).c_str());
   // Accumulated quantum by quantum, as every run has always counted it.
   int n = 0;
   for (double t = 0.0; t + tinv_s <= warmup_s + 1e-12; t += tinv_s) ++n;

@@ -78,6 +78,9 @@ struct RunOptions {
   const hal::FaultSchedule* faults = nullptr;
   /// Node-local power-budget arbitration (policy runs only).
   ArbiterSpec arbiter;
+
+  /// Field by field; `faults` compares by address.
+  bool operator==(const RunOptions&) const = default;
 };
 
 /// The one co-simulation loop (docs/ARCHITECTURE.md), the only code that

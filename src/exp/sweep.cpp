@@ -102,14 +102,32 @@ RunResult run_spec(const RunSpec& spec, const sim::PhaseProgram& program) {
   return RunResult{};
 }
 
+namespace {
+
+/// A spec's result over its calibration: a Default spec that asks for
+/// exactly the run calibration ended on is served that run's bytes (time
+/// is noise-free and the noise seed is the spec's, so it is the run
+/// run_default would repeat); every other spec simulates.
+RunResult run_calibrated(const RunSpec& spec, const Calibrated& calibrated) {
+  if (spec.kind == RunKind::kDefault) {
+    RunOptions options = spec.options;
+    options.seed = spec.seed;
+    if (const RunResult* served = calibrated.default_run_for(options)) {
+      return *served;
+    }
+  }
+  return run_spec(spec, calibrated.program);
+}
+
+}  // namespace
+
 RunResult run_spec(const RunSpec& spec) {
   CF_ASSERT(spec.model != nullptr && spec.machine != nullptr,
             "spec missing model or machine");
-  // A standalone run owns its program: build_calibrated is deterministic
+  // A standalone run owns its calibration: calibrate() is deterministic
   // in (model, machine, seed), so rebuilding here produces the same bits
-  // run_sweep's memoised copy would.
-  return run_spec(spec,
-                  build_calibrated(*spec.model, *spec.machine, spec.seed));
+  // run_sweep's memoised copy would, served Default runs included.
+  return run_calibrated(spec, calibrate(*spec.model, *spec.machine, spec.seed));
 }
 
 void sweep_ordered(int64_t n, const std::function<void(int64_t)>& fn,
@@ -134,10 +152,11 @@ namespace {
 /// (Default + three policies share the same seeds, Fig. 3 sweeps share one
 /// model across a frequency grid), so every unique program is calibrated
 /// exactly once — itself fanned out — and then shared read-only by the
-/// runs. Sharing changes no bits: run_spec(spec) would rebuild the
-/// identical program. The memo spans only `indices`: when the cache or a
-/// shard partition shrinks the work list, no program is calibrated for a
-/// spec that will not run.
+/// runs. A Default spec at default options is served the run calibration
+/// ended on instead of simulating it again. Neither changes a bit:
+/// run_spec(spec) would rebuild the identical calibration. The memo spans
+/// only `indices`: when the cache or a shard partition shrinks the work
+/// list, no program is calibrated for a spec that will not run.
 void run_subset(const SweepGrid& grid, const std::vector<uint64_t>& indices,
                 runtime::TaskScheduler* scheduler,
                 std::vector<RunResult>* results) {
@@ -159,13 +178,13 @@ void run_subset(const SweepGrid& grid, const std::vector<uint64_t>& indices,
   for (size_t i = indices.size(); i-- > 0;) {
     rep_spec[spec_program[i]] = &specs[indices[i]];
   }
-  std::vector<sim::PhaseProgram> programs(program_index.size());
+  std::vector<Calibrated> programs(program_index.size());
   sweep_ordered(
       static_cast<int64_t>(programs.size()),
       [&](int64_t i) {
         const RunSpec& spec = *rep_spec[static_cast<size_t>(i)];
         programs[static_cast<size_t>(i)] =
-            build_calibrated(*spec.model, *spec.machine, spec.seed);
+            calibrate(*spec.model, *spec.machine, spec.seed);
       },
       scheduler);
 
@@ -173,8 +192,8 @@ void run_subset(const SweepGrid& grid, const std::vector<uint64_t>& indices,
       static_cast<int64_t>(indices.size()),
       [&](int64_t i) {
         const uint64_t idx = indices[static_cast<size_t>(i)];
-        (*results)[idx] =
-            run_spec(specs[idx], programs[spec_program[static_cast<size_t>(i)]]);
+        (*results)[idx] = run_calibrated(
+            specs[idx], programs[spec_program[static_cast<size_t>(i)]]);
       },
       scheduler);
 }

@@ -23,15 +23,22 @@ namespace cuttlefish::exp {
 ///
 ///  * **Determinism.** A spec's seed is fixed at grid-expansion time
 ///    (derived from its point's seed base and replicate index, never from
-///    execution order), every run builds its own calibrated PhaseProgram
-///    from that seed, and results land at the spec's index in the output
-///    vector. The result table is therefore bit-identical whether the grid
-///    runs serially or on N workers.
+///    execution order), its result is a pure function of the spec (its
+///    calibrated PhaseProgram is built from that seed, once per unique
+///    (model, machine, seed) and shared by the specs that use it), and
+///    results land at the spec's index in the output vector. The result
+///    table is therefore bit-identical whether the grid runs serially or
+///    on N workers.
+///
+///  * **No run twice.** Calibration ends on a verified Default run at the
+///    program's seed with default options; a Default spec asking for
+///    exactly that run (exp/calibrate.hpp, Calibrated::default_run_for) is
+///    served its bytes. Every other spec simulates.
 ///
 ///  * **Isolation.** Tasks share only immutable inputs (the
-///    MachineConfig, the BenchmarkModel); each constructs its own
-///    SimMachine/Controller, so no synchronisation is needed beyond the
-///    runtime's own join.
+///    MachineConfig, the BenchmarkModel, the calibrations); each
+///    constructs its own SimMachine/Controller, so no synchronisation is
+///    needed beyond the runtime's own join.
 
 /// Which driver entry point a spec exercises.
 enum class RunKind { kDefault, kFixed, kPolicy };
@@ -97,11 +104,12 @@ class SweepGrid {
   std::vector<SweepPoint> points_;
 };
 
-/// Execute one spec (the unit of work the engine fans out); builds its
-/// own calibrated program.
+/// Execute one spec (the unit of work the engine fans out); calibrates its
+/// own program, and serves a Default spec at default options the run
+/// calibration ended on, as run_sweep does.
 RunResult run_spec(const RunSpec& spec);
-/// Execute one spec against a pre-built calibrated program (run_sweep
-/// memoises programs per unique (model, seed) and shares them read-only).
+/// Simulate one spec against a pre-built calibrated program, whatever its
+/// kind.
 RunResult run_spec(const RunSpec& spec, const sim::PhaseProgram& program);
 
 class ResultCache;  // exp/result_cache.hpp

@@ -35,13 +35,7 @@ bool DeviceHealth::record_failure(uint64_t tick) {
   return false;
 }
 
-bool DeviceHealth::record_success(uint64_t tick) {
-  successes_ += 1;
-  if (state_ != State::kQuarantined) {
-    consecutive_failures_ = 0;
-    state_ = State::kHealthy;
-    return false;
-  }
+bool DeviceHealth::record_probe_success(uint64_t tick) {
   consecutive_successes_ += 1;
   if (consecutive_successes_ < policy_.heal_successes) {
     // Successful probe, but not healed yet: re-probe promptly (no

@@ -26,6 +26,8 @@ struct RetryPolicy {
   /// after every failed probe up to backoff_max_ticks.
   uint64_t backoff_start_ticks = 8;
   uint64_t backoff_max_ticks = 256;
+
+  bool operator==(const RetryPolicy&) const = default;
 };
 
 /// Per-device failure state machine: kHealthy -> (consecutive failures)
@@ -54,8 +56,15 @@ class DeviceHealth {
 
   /// Record a successful operation. Returns true exactly on the heal
   /// edge: the device was quarantined and has now delivered
-  /// heal_successes consecutive probe successes.
-  bool record_success(uint64_t tick);
+  /// heal_successes consecutive probe successes. The healthy path, taken
+  /// by every tick of a fault-free run, is inline.
+  bool record_success(uint64_t tick) {
+    successes_ += 1;
+    if (state_ == State::kQuarantined) return record_probe_success(tick);
+    consecutive_failures_ = 0;
+    state_ = State::kHealthy;
+    return false;
+  }
 
   /// Backoff gate while quarantined: true when the next probe is due at
   /// `tick`. Always true for non-quarantined devices (normal operations
@@ -72,6 +81,9 @@ class DeviceHealth {
   int consecutive_failures() const { return consecutive_failures_; }
 
  private:
+  /// record_success() while quarantined: counts toward the heal.
+  bool record_probe_success(uint64_t tick);
+
   RetryPolicy policy_{};
   State state_ = State::kHealthy;
   int consecutive_failures_ = 0;

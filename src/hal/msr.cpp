@@ -53,11 +53,4 @@ uint64_t encode_rapl_power_unit(int esu_bits) {
   return static_cast<uint64_t>(esu_bits) << 8;
 }
 
-uint64_t rapl_delta_units(uint32_t prev_raw, uint32_t now_raw) {
-  if (now_raw >= prev_raw) return now_raw - prev_raw;
-  // 32-bit counter wrapped (happens roughly every 30 min at ~150 W with
-  // the Haswell 61 microjoule unit).
-  return (0x100000000ULL - prev_raw) + now_raw;
-}
-
 }  // namespace cuttlefish::hal

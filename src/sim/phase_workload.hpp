@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "sim/perf_model.hpp"
 
 namespace cuttlefish::sim {
@@ -78,18 +79,29 @@ class PhaseProgram {
   std::unordered_map<OpBits, uint32_t, OpBitsHash> op_index_;
 };
 
-/// Consumption state over a PhaseProgram; owned by SimMachine.
+/// Consumption state over a PhaseProgram; owned by SimMachine. Every
+/// quantum of a co-simulation reads it several times, so the accessors
+/// and the in-segment path of consume() are inline; crossing into the
+/// next segment is the one out-of-line call.
 class WorkloadCursor {
  public:
   WorkloadCursor() = default;
   explicit WorkloadCursor(const PhaseProgram* program);
 
-  bool done() const;
+  bool done() const {
+    return program_ == nullptr || index_ >= program_->segments().size();
+  }
   /// Operating point of the segment currently executing.
-  const OperatingPoint& op() const;
+  const OperatingPoint& op() const {
+    CF_ASSERT(!done(), "cursor exhausted");
+    return program_->segments()[index_].op;
+  }
   /// Dedup index (PhaseProgram::ops()) of the current segment's operating
   /// point — the rate-cache key of the co-simulation hot path.
-  uint32_t op_index() const;
+  uint32_t op_index() const {
+    CF_ASSERT(!done(), "cursor exhausted");
+    return program_->segments()[index_].op_index;
+  }
   const PhaseProgram* program() const { return program_; }
   /// Index of the current segment in program()->segments().
   size_t segment_index() const { return index_; }
@@ -97,12 +109,22 @@ class WorkloadCursor {
   double remaining_in_segment() const { return remaining_; }
   /// Consume `instructions` from the current segment (must not exceed
   /// remaining_in_segment); advances to the next segment when drained.
-  void consume(double instructions);
+  void consume(double instructions) {
+    CF_ASSERT(!done(), "cursor exhausted");
+    CF_ASSERT(instructions <= remaining_ + 1e-6,
+              "consuming beyond segment boundary");
+    remaining_ -= instructions;
+    if (remaining_ <= 1e-6) {
+      remaining_ = 0.0;
+      skip_empty();
+    }
+  }
 
  private:
   const PhaseProgram* program_ = nullptr;
   size_t index_ = 0;
   double remaining_ = 0.0;
+  /// Moves past a drained segment and any empty ones.
   void skip_empty();
 };
 

@@ -10,11 +10,6 @@
 namespace cuttlefish::sim {
 
 namespace {
-/// Floor on the multiplicative power-noise factor: however large the
-/// configured sigma, a quantum can never dissipate negative energy. The
-/// paper-calibrated sigmas (<= a few percent) sit far above the floor, so
-/// their noise streams are untouched bit-for-bit.
-constexpr double kNoiseFloorFactor = 1e-3;
 constexpr double kUnfilled = std::numeric_limits<double>::quiet_NaN();
 }  // namespace
 
@@ -54,15 +49,6 @@ void SimMachine::set_uncore_frequency(FreqMHz f) {
     rate_ = nullptr;
   }
   uncore_f_ = f;
-}
-
-double SimMachine::power_noise_factor() {
-  if (cfg_.power_noise_sigma <= 0.0) return 1.0;
-  // Cheap approximately-normal jitter: sum of three uniforms.
-  const double u =
-      noise_.next_double() + noise_.next_double() + noise_.next_double();
-  const double z = (u - 1.5) * 2.0;  // ~N(0,1)
-  return std::max(kNoiseFloorFactor, 1.0 + cfg_.power_noise_sigma * z);
 }
 
 SimMachine::Row* SimMachine::take_row() const {
@@ -143,8 +129,11 @@ double SimMachine::stall_watts() const {
 
 double SimMachine::demand_bandwidth_now() const {
   if (cursor_.done()) return 0.0;
-  return perf_.demand_bandwidth(rate_at(cursor_.op_index()).ips,
-                                cursor_.op());
+  // The firmware governor asks once per quantum, nearly always inside the
+  // segment whose rates advance() hoisted: the same cell, no lookup.
+  const uint32_t oi = cursor_.op_index();
+  const Cell& rate = rate_ != nullptr && oi == rate_op_ ? *rate_ : rate_at(oi);
+  return perf_.demand_bandwidth(rate.ips, cursor_.op());
 }
 
 double SimMachine::advance(double dt) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -156,7 +157,21 @@ class SimMachine final : public hal::MsrDevice {
   mutable const Cell* rate_ = nullptr;
   mutable uint32_t rate_op_ = 0;
 
-  double power_noise_factor();
+  /// Floor on the multiplicative power-noise factor: however large the
+  /// configured sigma, a quantum can never dissipate negative energy. The
+  /// paper-calibrated sigmas (<= a few percent) sit far above the floor,
+  /// so their noise streams are untouched bit-for-bit.
+  static constexpr double kNoiseFloorFactor = 1e-3;
+
+  /// One draw per advance step (inline: the quantum loop's hottest call).
+  double power_noise_factor() {
+    if (cfg_.power_noise_sigma <= 0.0) return 1.0;
+    // Cheap approximately-normal jitter: sum of three uniforms.
+    const double u =
+        noise_.next_double() + noise_.next_double() + noise_.next_double();
+    const double z = (u - 1.5) * 2.0;  // ~N(0,1)
+    return std::max(kNoiseFloorFactor, 1.0 + cfg_.power_noise_sigma * z);
+  }
 };
 
 }  // namespace cuttlefish::sim

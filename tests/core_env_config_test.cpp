@@ -64,6 +64,22 @@ TEST(EnvConfig, NegativeTinvRejected) {
                    ControllerConfig{}.tinv_s);
 }
 
+TEST(EnvConfig, TinvBelowOneMicrosecondRejected) {
+  // Shorter quanta overflow the co-simulation's warm-up count (and at
+  // 1e-17 ms its clock stops advancing): warn and keep the previous value.
+  for (const char* tiny : {"1e-17", "0.0009", "4.9e-324"}) {
+    EnvGuard g("CUTTLEFISH_TINV_MS", tiny);
+    EXPECT_DOUBLE_EQ(apply_env_overrides({}).tinv_s,
+                     ControllerConfig{}.tinv_s)
+        << tiny;
+    ControllerConfig previous;
+    previous.tinv_s = 0.060;
+    EXPECT_DOUBLE_EQ(apply_env_overrides(previous).tinv_s, 0.060) << tiny;
+  }
+  EnvGuard g("CUTTLEFISH_TINV_MS", "0.001");
+  EXPECT_DOUBLE_EQ(apply_env_overrides({}).tinv_s, 1e-6);
+}
+
 TEST(EnvConfig, ZeroWarmupAccepted) {
   EnvGuard g("CUTTLEFISH_WARMUP_S", "0");
   EXPECT_DOUBLE_EQ(apply_env_overrides({}).warmup_s, 0.0);

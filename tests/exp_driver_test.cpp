@@ -199,6 +199,22 @@ void expect_same_stats(const core::ControllerStats& a,
   EXPECT_EQ(a.recoveries, b.recoveries);
 }
 
+TEST(StepperDeathTest, WarmupCountMustFitAnInt) {
+  // 1 µs, the shortest Tinv CUTTLEFISH_TINV_MS accepts, counts 2e6 quanta
+  // over the paper's 2 s warm-up.
+  EXPECT_EQ(Stepper::warmup_quanta_for(1e-6, 2.0), 2000000);
+  // At 1e-20 s the accumulated time stops moving (t + Tinv == t) long
+  // before 2 s, and at 1 ns the count passes INT_MAX: both are refused
+  // with the pair named, instead of looping or overflowing.
+  EXPECT_DEATH(Stepper::warmup_quanta_for(1e-20, 2.0),
+               "Tinv 1e-20 s with warm-up 2 s");
+  EXPECT_DEATH(Stepper::warmup_quanta_for(1e-9, 2.0),
+               "Tinv 1e-09 s with warm-up 2 s");
+  EXPECT_DEATH(Stepper::warmup_quanta_for(0.0, 2.0), "Tinv 0 s");
+  EXPECT_DEATH(Stepper::warmup_quanta_for(1e-300, 0.0),
+               "Tinv 1e-300 s with warm-up 0 s");
+}
+
 TEST_F(DriverTest, EveryDriverRunsTheSameWarmupQuanta) {
   const sim::PhaseProgram p = two_phase_program();
   for (const auto& [tinv, quanta] : kWarmups) {

@@ -1,9 +1,16 @@
 #include "exp/sweep.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstring>
+#include <filesystem>
+#include <map>
+#include <string>
+#include <utility>
 
+#include "exp/calibrate.hpp"
+#include "exp/result_cache.hpp"
 #include "runtime/scheduler.hpp"
 #include "sim/machine_config.hpp"
 #include "workloads/suite.hpp"
@@ -162,6 +169,139 @@ TEST(SweepEngine, SummarizePairsBaselineBySeed) {
   EXPECT_EQ(summary[2].energy_savings_pct.mean, 0.0);
   EXPECT_EQ(summary[2].slowdown_pct.mean, 0.0);
   EXPECT_EQ(summary[2].edp_savings_pct.mean, 0.0);
+}
+
+/// Default points over both suites at two seeds: one at default options,
+/// which calibration serves, and three it must not serve (a timeline,
+/// Tinv 30 ms, a 1 s warm-up).
+SweepGrid make_default_grid(const sim::MachineConfig& machine) {
+  SweepGrid grid(machine);
+  RunOptions plain;
+  RunOptions timeline;
+  timeline.capture_timeline = true;
+  RunOptions tinv30;
+  tinv30.controller.tinv_s = 0.030;
+  RunOptions warmup1;
+  warmup1.controller.warmup_s = 1.0;
+  for (const auto* suite :
+       {&workloads::openmp_suite(), &workloads::hclib_suite()}) {
+    for (const workloads::BenchmarkModel& model : *suite) {
+      grid.add_default(model.name + "/Default", model, plain, 2, 40);
+      grid.add_default(model.name + "/timeline", model, timeline, 2, 40);
+      grid.add_default(model.name + "/Tinv30", model, tinv30, 2, 40);
+      grid.add_default(model.name + "/warmup1", model, warmup1, 2, 40);
+    }
+  }
+  return grid;
+}
+
+/// Every spec's result bytes from run_default over build_calibrated's
+/// program, called directly: the oracle for any path that serves Default
+/// runs from calibration.
+std::vector<std::string> direct_default_bytes(const SweepGrid& grid) {
+  std::map<std::pair<const workloads::BenchmarkModel*, uint64_t>,
+           sim::PhaseProgram>
+      programs;
+  std::vector<std::string> bytes;
+  for (const RunSpec& spec : grid.specs()) {
+    auto it = programs.find({spec.model, spec.seed});
+    if (it == programs.end()) {
+      it = programs
+               .emplace(std::make_pair(spec.model, spec.seed),
+                        build_calibrated(*spec.model, grid.machine(),
+                                         spec.seed))
+               .first;
+    }
+    RunOptions options = spec.options;
+    options.seed = spec.seed;
+    bytes.push_back(
+        encode_result(run_default(grid.machine(), it->second, options)));
+  }
+  return bytes;
+}
+
+::testing::AssertionResult bytes_match(const std::vector<std::string>& want,
+                                       const std::vector<RunResult>& got) {
+  if (want.size() != got.size()) {
+    return ::testing::AssertionFailure() << "size mismatch";
+  }
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (encode_result(got[i]) != want[i]) {
+      return ::testing::AssertionFailure() << "result bytes differ at spec "
+                                           << i;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(Calibration, ServesOnlyTheRunItPerformed) {
+  const sim::MachineConfig machine = sim::haswell_2650v3();
+  const auto& model = workloads::find_benchmark("Heat-irt");
+  const Calibrated c = calibrate(model, machine, 41);
+  ASSERT_TRUE(c.default_run.has_value());
+  EXPECT_EQ(c.seed, 41u);
+  // Time is noise-free, so the seed-41 calibration scales exactly as a
+  // seed-0 one does.
+  sim::PhaseProgram seed0 = model.build_program(41);
+  calibrate_program(seed0, machine, model.default_time_s, 0);
+  ASSERT_EQ(seed0.segments().size(), c.program.segments().size());
+  for (size_t i = 0; i < seed0.segments().size(); ++i) {
+    ASSERT_TRUE(same_bits(seed0.segments()[i].instructions,
+                          c.program.segments()[i].instructions))
+        << "segment " << i;
+  }
+
+  RunOptions performed;
+  performed.seed = 41;
+  const RunResult* served = c.default_run_for(performed);
+  ASSERT_NE(served, nullptr);
+  EXPECT_EQ(encode_result(*served),
+            encode_result(run_default(machine, c.program, performed)));
+
+  std::vector<RunOptions> others(7, performed);
+  others[0].seed = 42;
+  others[1].capture_timeline = true;
+  others[2].controller.tinv_s = 0.030;
+  others[3].controller.warmup_s = 1.0;
+  others[4].controller.resilience.max_retries = 3;
+  others[5].arbiter.enabled = true;
+  const hal::FaultSchedule faults;
+  others[6].faults = &faults;
+  for (size_t i = 0; i < others.size(); ++i) {
+    EXPECT_EQ(c.default_run_for(others[i]), nullptr) << "options " << i;
+  }
+}
+
+TEST(SweepEngine, CalibrationServedDefaultsMatchDirectRuns) {
+  const sim::MachineConfig machine = sim::haswell_2650v3();
+  const SweepGrid grid = make_default_grid(machine);
+  const std::vector<std::string> want = direct_default_bytes(grid);
+  const std::filesystem::path store =
+      std::filesystem::temp_directory_path() /
+      ("cuttlefish_sweep_test_" + std::to_string(::getpid()));
+  for (const int workers : {1, 2}) {
+    EXPECT_TRUE(bytes_match(want, run_sweep(grid, workers)))
+        << workers << " workers, uncached";
+    std::filesystem::remove_all(store);
+    runtime::TaskScheduler scheduler(workers);
+    {
+      ResultCache cold(store.string());
+      EXPECT_TRUE(bytes_match(want, run_sweep(grid, &scheduler, &cold)))
+          << workers << " workers, cold cache";
+    }
+    ResultCache warm(store.string());
+    SweepRunStats stats;
+    EXPECT_TRUE(
+        bytes_match(want, run_sweep(grid, &scheduler, &warm, &stats)))
+        << workers << " workers, warm cache";
+    EXPECT_EQ(stats.cache_hits, grid.size());
+  }
+  std::filesystem::remove_all(store);
+  std::vector<RunResult> standalone;
+  for (const RunSpec& spec : grid.specs()) {
+    standalone.push_back(run_spec(spec));
+  }
+  EXPECT_TRUE(bytes_match(want, standalone)) << "standalone run_spec";
 }
 
 TEST(SweepEngine, SweepOrderedPreservesIndexKeying) {

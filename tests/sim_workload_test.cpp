@@ -133,6 +133,33 @@ TEST(WorkloadCursor, EmptyProgramIsDone) {
   EXPECT_TRUE(c.done());
 }
 
+TEST(WorkloadCursorDeathTest, ExhaustedCursorRefusesReads) {
+  PhaseProgram p;
+  p.add(5.0, 1.0, 0.01);
+  WorkloadCursor c(&p);
+  c.consume(5.0);
+  ASSERT_TRUE(c.done());
+  EXPECT_DEATH(c.op(), "cursor exhausted");
+  EXPECT_DEATH(c.op_index(), "cursor exhausted");
+  EXPECT_DEATH(c.consume(1.0), "cursor exhausted");
+  const PhaseProgram empty;
+  WorkloadCursor none(&empty);
+  EXPECT_DEATH(none.op(), "cursor exhausted");
+}
+
+TEST(WorkloadCursorDeathTest, ConsumeStopsAtTheSegmentBoundary) {
+  PhaseProgram p;
+  p.add(10.0, 1.0, 0.01).add(10.0, 1.0, 0.02);
+  WorkloadCursor c(&p);
+  c.consume(4.0);
+  // Within the 1e-6 slack is still this segment's...
+  c.consume(6.0 + 5e-7);
+  EXPECT_EQ(c.segment_index(), 1u);
+  // ...but a step past it would retire the next segment's instructions at
+  // this one's operating point.
+  EXPECT_DEATH(c.consume(10.0 + 1e-3), "consuming beyond segment boundary");
+}
+
 TEST(WorkloadCursor, PartialConsumption) {
   PhaseProgram p;
   p.add(10.0, 1.0, 0.01);
