@@ -11,7 +11,8 @@
 //                  results are bit-identical to --workers 1 by the sweep
 //                  engine's determinism contract)
 //   --shard i/N    run only the grid cells shard i of N owns (benches that
-//                  implement the shard protocol, e.g. micro_sweep; the
+//                  implement the shard protocol, e.g. micro_sweep, which
+//                  runs the shard into the --cache-dir store; the
 //                  partition is deterministic, so N processes cover a grid
 //                  exactly once and merge byte-identically)
 //   --policy NAME  restrict a policy-comparison bench to one registered
@@ -20,8 +21,9 @@
 //                  the registered list)
 //   --cache-dir D  serve sweep cells from (and persist misses to) the
 //                  content-addressed result cache at D (benches that opt
-//                  in: the figure/table regenerators). Cached results are
-//                  byte-exact, so tables are bit-identical at any hit rate.
+//                  in: the figure/table regenerators and micro_sweep).
+//                  Cached results are byte-exact, so tables are
+//                  bit-identical at any hit rate.
 //   --json-out F   write a machine-readable JSON summary to F
 //
 // Supervised-sweep flags (benches that opt in, e.g. micro_sweep; see

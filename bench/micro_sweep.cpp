@@ -31,12 +31,14 @@
 // requires the warm re-run to be >= 20x faster than cold (and keeps the
 // 2x-vs-baseline throughput gate).
 //
-// --shard i/N + --table-out FILE runs only the grid cells shard i owns
-// and writes them as a partial result table; --merge FILE... (repeated,
-// glob patterns accepted; a pattern matching nothing is an error) loads N
-// such tables, reassembles the full result vector, and reports
-// merged_digest — byte-identical to a single-process serial_digest, which
-// CI asserts. Gates are same-host tools, not for shared CI boxes.
+// --shard i/N --cache-dir DIR runs only the grid cells shard i owns into
+// the result cache at DIR, and exits 1 unless every owned cell is in the
+// store afterwards. --merge DIR opens one store made by copying the N
+// shards' shard-*.bin files into one directory, exits 1 naming the count
+// and the first missing cell unless the store holds the whole grid, then
+// serves the grid from it with no simulation and reports merged_digest —
+// byte-identical to a single-process serial_digest, which CI asserts.
+// Gates are same-host tools, not for shared CI boxes.
 //
 // --supervised runs the grid under the process-level sweep supervisor
 // (docs/SUPERVISOR.md): forked workers, journaled resume, poison-spec
@@ -47,11 +49,10 @@
 // and re-invoking it with the same flags resumes from the journal; the CI
 // crash-smoke job asserts the resumed digest equals the serial one.
 
-#include <glob.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
+#include <filesystem>
 #include <memory>
 #include <thread>
 
@@ -210,14 +211,14 @@ Baseline load_baseline(const std::string& path, const GridShape& current) {
 
 /// The flags main() strips from argv before the shared parser runs.
 constexpr const char* kOwnFlags =
-    "[--baseline FILE] [--cache-dir DIR] [--table-out FILE] "
-    "[--merge FILE|GLOB]... [--faults transient:SEED|persistent|chaos:SEED]";
+    "[--baseline FILE] [--merge DIR] "
+    "[--faults transient:SEED|persistent|chaos:SEED]";
 
 /// Same usage line as parse_args prints for main()'s flag groups.
 int fail_usage(const char* prog, const std::string& msg) {
   const std::string usage = benchharness::usage_line(
       prog, /*has_reps=*/true, /*has_shards=*/true, /*has_policy=*/false,
-      /*has_cache=*/false, /*has_supervise=*/true, kOwnFlags);
+      /*has_cache=*/true, /*has_supervise=*/true, kOwnFlags);
   std::fprintf(stderr, "%s: %s\n%s\n", prog, msg.c_str(), usage.c_str());
   return 2;
 }
@@ -440,100 +441,87 @@ int run_supervised_mode(const exp::SweepGrid& grid,
   return 0;
 }
 
-/// Shard mode: run only the owned subset, write the partial table, done.
-/// Deliberately no JSON/baseline machinery — the merged run owns those.
-int run_shard_mode(const exp::SweepGrid& grid, const benchharness::BenchArgs& args,
-                   std::string table_out) {
-  if (table_out.empty()) {
-    table_out = "BENCH_sweep.shard" + std::to_string(args.shard_index) +
-                "-of-" + std::to_string(args.shard_count) + ".tbl";
-  }
+/// Shard mode: run only the owned subset into the store at --cache-dir,
+/// then look for every owned cell there: a failed shard write is only
+/// logged, so a shard whose results did not land must fail here, not at
+/// the merge. Deliberately no JSON/baseline machinery — the merge owns
+/// those.
+int run_shard_mode(const exp::SweepGrid& grid,
+                   const benchharness::BenchArgs& args) {
   std::unique_ptr<runtime::TaskScheduler> scheduler;
   if (args.workers > 1) {
     scheduler = std::make_unique<runtime::TaskScheduler>(args.workers);
   }
+  exp::ResultCache cache(args.cache_dir);
+  exp::SweepRunStats stats;
   const double t0 = now_s();
-  exp::ShardTable table;
-  table.grid_size = grid.size();
-  table.shard_index = args.shard_index;
-  table.shard_count = args.shard_count;
-  table.rows = exp::run_sweep_shard(grid, args.shard_index, args.shard_count,
-                                    scheduler.get());
+  const auto rows =
+      exp::run_sweep_shard(grid, args.shard_index, args.shard_count,
+                           scheduler.get(), &cache, &stats);
   const double wall = now_s() - t0;
-  if (!exp::save_shard_table(table_out, table)) return 1;
   double virt = 0.0;
-  for (const auto& [idx, r] : table.rows) virt += r.time_s;
-  std::printf("  shard %d/%d: %zu of %zu co-simulations, %7.3fs wall, "
-              "%8.1f virtual s/s -> %s\n",
-              args.shard_index, args.shard_count, table.rows.size(),
-              grid.size(), wall, virt / wall, table_out.c_str());
+  size_t stored = 0;
+  for (const auto& [idx, r] : rows) {
+    virt += r.time_s;
+    stored += cache.contains(exp::digest_spec(grid.specs()[idx])) ? 1 : 0;
+  }
+  std::printf("  shard %d/%d: %zu of %zu co-simulations (%zu hits / %zu "
+              "misses), %7.3fs wall, %8.1f virtual s/s -> %s\n",
+              args.shard_index, args.shard_count, rows.size(), grid.size(),
+              stats.cache_hits, stats.cache_misses, wall, virt / wall,
+              args.cache_dir.c_str());
+  if (stored != rows.size()) {
+    std::fprintf(stderr,
+                 "micro_sweep: only %zu of shard %d/%d's %zu cells are in "
+                 "the store %s\n",
+                 stored, args.shard_index, args.shard_count, rows.size(),
+                 args.cache_dir.c_str());
+    return 1;
+  }
   return 0;
 }
 
-/// Merge mode: no simulation at all — load the N partial tables,
-/// reassemble the full result vector, and report the digest of the merged
-/// table (byte-identical to a single-process run's serial_digest; CI
-/// asserts exactly that).
-int run_merge_mode(const exp::SweepGrid& grid, const benchharness::BenchArgs& args,
-                   const GridShape& shape,
-                   const std::vector<std::string>& merge_paths,
-                   const std::string& json_out) {
-  // Every --merge value may be a literal path or a glob pattern. A
-  // pattern that matches nothing is an error, not an empty contribution:
-  // a fleet recipe whose `--merge 'out/*.tbl'` glob finds no files must
-  // fail here rather than "succeed" after merging nothing.
-  std::vector<std::string> expanded;
-  for (const auto& pattern : merge_paths) {
-    ::glob_t g{};
-    const int rc = ::glob(pattern.c_str(), 0, nullptr, &g);
-    if (rc == GLOB_NOMATCH || (rc == 0 && g.gl_pathc == 0)) {
-      ::globfree(&g);
-      std::fprintf(stderr,
-                   "micro_sweep: --merge '%s' matched no shard files\n",
-                   pattern.c_str());
-      return 2;
-    }
-    if (rc != 0) {
-      ::globfree(&g);
-      std::fprintf(stderr, "micro_sweep: --merge cannot expand '%s'\n",
-                   pattern.c_str());
-      return 2;
-    }
-    for (size_t i = 0; i < g.gl_pathc; ++i) {
-      expanded.emplace_back(g.gl_pathv[i]);
-    }
-    ::globfree(&g);
+/// Merge mode: no simulation at all. The store at `dir` must hold every
+/// cell of the grid (checked before anything is read); the grid is then
+/// served from it in one batch, and the digest of that table is reported
+/// (byte-identical to a single-process run's serial_digest; CI asserts
+/// exactly that).
+int run_merge_mode(const exp::SweepGrid& grid,
+                   const benchharness::BenchArgs& args, const GridShape& shape,
+                   const std::string& dir) {
+  exp::ResultCache cache(dir);
+  std::vector<exp::RunResult> merged(grid.size());
+  std::vector<exp::ResultCache::Lookup> batch;
+  batch.reserve(grid.size());
+  size_t missing = 0;
+  size_t first_missing = 0;
+  for (size_t i = 0; i < grid.size(); ++i) {
+    batch.push_back({exp::digest_spec(grid.specs()[i]), &merged[i], false});
+    if (cache.contains(batch.back().digest)) continue;
+    if (missing == 0) first_missing = i;
+    ++missing;
   }
-  std::vector<exp::ShardTable> tables;
-  for (const auto& path : expanded) {
-    exp::ShardTable table;
-    std::string error;
-    if (!exp::load_shard_table(path, &table, &error)) {
-      std::fprintf(stderr, "micro_sweep: %s: %s\n", path.c_str(),
-                   error.c_str());
-      return 2;
-    }
-    if (table.grid_size != grid.size()) {
-      std::fprintf(stderr,
-                   "micro_sweep: %s covers a %" PRIu64
-                   "-cell grid but the current flags build %zu cells — "
-                   "rerun with the --runs/--seeds the shards used\n",
-                   path.c_str(), table.grid_size, grid.size());
-      return 2;
-    }
-    std::printf("  loaded %s: shard %d/%d, %zu rows\n", path.c_str(),
-                table.shard_index, table.shard_count, table.rows.size());
-    tables.push_back(std::move(table));
-  }
-  std::string error;
-  const auto merged = exp::merge_shard_tables(tables, &error);
-  if (!merged) {
-    std::fprintf(stderr, "micro_sweep: merge failed: %s\n", error.c_str());
+  if (missing > 0) {
+    const exp::RunSpec& spec = grid.specs()[first_missing];
+    std::fprintf(stderr,
+                 "micro_sweep: store %s lacks %zu of %zu cells; the first "
+                 "is spec %zu (%s, seed %" PRIu64 ") — copy in the "
+                 "shard-*.bin files of every --shard i/N run of this "
+                 "grid\n",
+                 dir.c_str(), missing, grid.size(), first_missing,
+                 grid.points()[static_cast<size_t>(spec.point)].label.c_str(),
+                 spec.seed);
     return 1;
   }
-  const std::string merged_hex = digest_hex(digest(grid, *merged));
-  std::printf("  merged %zu tables -> %zu results, digest %s\n",
-              tables.size(), merged->size(), merged_hex.c_str());
+  const size_t hits = cache.lookup(std::span(batch));
+  if (hits != grid.size()) {
+    std::fprintf(stderr, "micro_sweep: %zu cells of %s could not be read\n",
+                 grid.size() - hits, dir.c_str());
+    return 1;
+  }
+  const std::string merged_hex = digest_hex(digest(grid, merged));
+  std::printf("  merged store %s: %zu hits / 0 misses, digest %s\n",
+              dir.c_str(), hits, merged_hex.c_str());
 
   benchharness::JsonWriter json;
   json.raw("provenance", benchharness::provenance_json(CF_BENCH_COMPILER,
@@ -543,10 +531,10 @@ int run_merge_mode(const exp::SweepGrid& grid, const benchharness::BenchArgs& ar
   json.field("seeds_per_point", args.runs);
   json.field("seed_base", static_cast<int64_t>(shape.seed0));
   json.field("smoke", shape.smoke);
-  json.field("shard_count", tables.empty() ? 0 : tables.front().shard_count);
+  json.field("merged_store", dir);
   json.field("merged_digest", merged_hex);
-  json.field("virtual_seconds", virtual_seconds(*merged), 3);
-  json.write(json_out);
+  json.field("virtual_seconds", virtual_seconds(merged), 3);
+  json.write(args.json_out);
   return 0;
 }
 
@@ -554,33 +542,26 @@ int run_merge_mode(const exp::SweepGrid& grid, const benchharness::BenchArgs& ar
 
 int main(int argc, char** argv) {
   const bool smoke = std::getenv("CF_BENCH_SMOKE") != nullptr;
-  // --baseline/--cache-dir/--table-out/--merge are this bench's own
-  // flags; strip them before the shared parser sees the rest.
+  // --baseline/--merge/--faults are this bench's own flags; strip them
+  // before the shared parser sees the rest.
   std::string baseline_path;
-  std::string cache_dir;
-  std::string table_out;
+  std::string merge_dir;
   std::string faults_spec;
-  std::vector<std::string> merge_paths;
   std::vector<char*> filtered{argv, argv + argc};
   for (size_t i = 1; i < filtered.size();) {
     const std::string arg = filtered[i];
     std::string* dest = nullptr;
     if (arg == "--baseline") dest = &baseline_path;
-    if (arg == "--cache-dir") dest = &cache_dir;
-    if (arg == "--table-out") dest = &table_out;
+    if (arg == "--merge") dest = &merge_dir;
     if (arg == "--faults") dest = &faults_spec;
-    if (dest == nullptr && arg != "--merge") {
+    if (dest == nullptr) {
       ++i;
       continue;
     }
     if (i + 1 >= filtered.size()) {
       return fail_usage(argv[0], arg + ": expects a value");
     }
-    if (dest != nullptr) {
-      *dest = filtered[i + 1];
-    } else {
-      merge_paths.push_back(filtered[i + 1]);
-    }
+    *dest = filtered[i + 1];
     filtered.erase(filtered.begin() + static_cast<long>(i),
                    filtered.begin() + static_cast<long>(i) + 2);
   }
@@ -588,7 +569,7 @@ int main(int argc, char** argv) {
                                        filtered.data(), smoke ? 2 : 10,
                                        /*has_reps=*/true, /*has_shards=*/true,
                                        /*has_policy=*/false,
-                                       /*has_cache=*/false,
+                                       /*has_cache=*/true,
                                        /*has_supervise=*/true, kOwnFlags);
   if (args.json_out.empty()) args.json_out = "BENCH_sweep.json";
   const uint64_t seed0 = benchharness::seed_base(args, 1000);
@@ -597,13 +578,16 @@ int main(int argc, char** argv) {
   const GridShape shape{static_cast<int64_t>(grid.points().size()), args.runs,
                         seed0, smoke};
 
-  if (!merge_paths.empty() && args.shard_count > 1) {
+  if (!merge_dir.empty() &&
+      (args.shard_count > 1 || !args.cache_dir.empty())) {
     return fail_usage(argv[0],
-                      "--merge and --shard are mutually exclusive (shards "
-                      "produce tables; the merge consumes them)");
+                      "--merge reads the store it names; --shard and "
+                      "--cache-dir write stores");
   }
-  if (!table_out.empty() && args.shard_count <= 1) {
-    return fail_usage(argv[0], "--table-out requires --shard i/N");
+  if (args.shard_count > 1 && args.cache_dir.empty()) {
+    return fail_usage(argv[0],
+                      "--shard i/N requires --cache-dir DIR, the store the "
+                      "shard runs into");
   }
   if (!args.supervised &&
       (!args.journal_dir.empty() || !args.crash_at.empty() ||
@@ -613,11 +597,19 @@ int main(int argc, char** argv) {
                       "require --supervised");
   }
   if (args.supervised &&
-      (args.shard_count > 1 || !merge_paths.empty() || !cache_dir.empty() ||
-       !baseline_path.empty() || !faults_spec.empty())) {
+      (args.shard_count > 1 || !merge_dir.empty() ||
+       !args.cache_dir.empty() || !baseline_path.empty() ||
+       !faults_spec.empty())) {
     return fail_usage(argv[0],
                       "--supervised runs standalone (no shard/merge/cache/"
                       "baseline/faults)");
+  }
+  // Checked before the store is opened, which would create it: a
+  // mistyped path must fail, not merge an empty store.
+  std::error_code ec;
+  if (!merge_dir.empty() && !std::filesystem::is_directory(merge_dir, ec)) {
+    return fail_usage(argv[0], "--merge: " + merge_dir +
+                                   " is not a directory");
   }
 
   std::printf("micro_sweep: Fig. 10 grid, %zu points / %zu co-simulations "
@@ -626,8 +618,8 @@ int main(int argc, char** argv) {
               smoke ? "smoke" : "full");
 
   if (!faults_spec.empty()) {
-    if (args.shard_count > 1 || !merge_paths.empty() || !cache_dir.empty() ||
-        !baseline_path.empty()) {
+    if (args.shard_count > 1 || !merge_dir.empty() ||
+        !args.cache_dir.empty() || !baseline_path.empty()) {
       return fail_usage(argv[0],
                         "--faults runs standalone (no shard/merge/cache/"
                         "baseline)");
@@ -638,10 +630,8 @@ int main(int argc, char** argv) {
   if (args.supervised) {
     return run_supervised_mode(grid, args, shape, argv[0]);
   }
-  if (args.shard_count > 1) return run_shard_mode(grid, args, table_out);
-  if (!merge_paths.empty()) {
-    return run_merge_mode(grid, args, shape, merge_paths, args.json_out);
-  }
+  if (args.shard_count > 1) return run_shard_mode(grid, args);
+  if (!merge_dir.empty()) return run_merge_mode(grid, args, shape, merge_dir);
 
   // Read before the serial run, so a bad file fails fast.
   Baseline base;
@@ -756,8 +746,8 @@ int main(int argc, char** argv) {
   bool cache_identical = true;
   bool cache_cold = false;
   double warm_speedup = 0.0;
-  if (!cache_dir.empty()) {
-    exp::ResultCache cache(cache_dir);
+  if (!args.cache_dir.empty()) {
+    exp::ResultCache cache(args.cache_dir);
     exp::SweepRunStats cold_stats;
     const double c0 = now_s();
     const std::vector<exp::RunResult> cold =
@@ -769,7 +759,7 @@ int main(int argc, char** argv) {
         exp::run_sweep(grid, nullptr, &cache, &warm_stats);
     const double warm_wall = now_s() - w0;
     const double r0 = now_s();
-    exp::ResultCache reopened(cache_dir);
+    exp::ResultCache reopened(args.cache_dir);
     const double reopen_open = now_s() - r0;
     exp::SweepRunStats reopen_stats;
     const std::vector<exp::RunResult> reopen =
@@ -791,7 +781,7 @@ int main(int argc, char** argv) {
                 reopen_wall, reopen_open, reopen_stats.cache_hits,
                 reopen_stats.cache_misses);
     benchharness::JsonWriter row;
-    row.field("dir", cache_dir);
+    row.field("dir", args.cache_dir);
     row.field("cold_wall_s", cold_wall, 4);
     row.field("cold_hits", static_cast<int64_t>(cold_stats.cache_hits));
     row.field("cold_misses", static_cast<int64_t>(cold_stats.cache_misses));

@@ -319,7 +319,18 @@ int cmd_regions(const char* path) {
   return 0;
 }
 
+// The cache subcommands inspect a store and never create one. Checked
+// before ResultCache opens `dir`, which would create it: a mistyped path
+// must fail, not pass as an empty store.
+bool is_store(const char* dir) {
+  std::error_code ec;
+  if (std::filesystem::is_directory(dir, ec)) return true;
+  std::fprintf(stderr, "cache: %s is not a directory\n", dir);
+  return false;
+}
+
 int cmd_cache_stats(const char* dir) {
+  if (!is_store(dir)) return 2;
   exp::ResultCache cache(dir);
   const auto stats = cache.stats();
   std::printf("cache %s\n", cache.dir().c_str());
@@ -353,6 +364,7 @@ int cmd_cache_stats(const char* dir) {
 // the fresh result to be byte-identical to the stored one. Any digest
 // collision, codec drift, or silent simulator change shows up here.
 int cmd_cache_verify(const char* dir, int sample) {
+  if (!is_store(dir)) return 2;
   exp::ResultCache cache(dir);
   if (cache.size() == 0) {
     std::printf("cache %s is empty — nothing to verify\n",
@@ -403,6 +415,7 @@ int cmd_cache_gc(const char* dir, const char* max_bytes_arg) {
                  max_bytes_arg);
     return 2;
   }
+  if (!is_store(dir)) return 2;
   exp::ResultCache cache(dir);
   const auto before = cache.stats();
   const uint64_t removed = cache.gc(max_bytes);

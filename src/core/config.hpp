@@ -1,5 +1,7 @@
 #pragma once
 
+#include <limits>
+
 #include "common/tipi.hpp"
 #include "hal/health.hpp"
 
@@ -63,5 +65,15 @@ struct ControllerConfig {
 
   bool operator==(const ControllerConfig&) const = default;
 };
+
+/// The most §4.1 warm-up quanta a (tinv_s, warmup_s) pair may ask for:
+/// half of INT_MAX, so the quantum-by-quantum sum's rounding drift (a few
+/// hundred quanta at this count) cannot overflow the co-simulation's int.
+inline constexpr double kMaxWarmupQuanta = std::numeric_limits<int>::max() / 2;
+
+/// A positive Tinv, and at most kMaxWarmupQuanta quanta in the warm-up.
+inline bool warmup_count_fits(double tinv_s, double warmup_s) {
+  return tinv_s > 0.0 && (warmup_s + 1e-12) / tinv_s <= kMaxWarmupQuanta;
+}
 
 }  // namespace cuttlefish::core

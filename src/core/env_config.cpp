@@ -87,6 +87,8 @@ std::optional<arbiter::SharePolicy> parse_share_policy(
 }
 
 ControllerConfig apply_env_overrides(ControllerConfig base) {
+  const double tinv_s = base.tinv_s;
+  const double warmup_s = base.warmup_s;
   override_from<PolicyKind>("CUTTLEFISH_POLICY", parse_policy,
                             [&](PolicyKind p) { base.policy = p; });
   override_from<double>(
@@ -100,6 +102,19 @@ ControllerConfig apply_env_overrides(ControllerConfig base) {
       "CUTTLEFISH_WARMUP_S",
       [](const std::string& t) { return parse_in(t, 0.0, kMaxDurationS); },
       [&](double s) { base.warmup_s = s; });
+  // Each duration passes its own bound, but the pair must also keep the
+  // warm-up count countable, or the co-simulation refuses it and the
+  // host aborts: keep the caller's pair instead.
+  if ((base.tinv_s != tinv_s || base.warmup_s != warmup_s) &&
+      !warmup_count_fits(base.tinv_s, base.warmup_s)) {
+    CF_LOG_WARN(
+        "ignoring CUTTLEFISH_TINV_MS/CUTTLEFISH_WARMUP_S: Tinv %g s with "
+        "warm-up %g s is more than %g warm-up quanta; keeping Tinv %g s "
+        "and warm-up %g s",
+        base.tinv_s, base.warmup_s, kMaxWarmupQuanta, tinv_s, warmup_s);
+    base.tinv_s = tinv_s;
+    base.warmup_s = warmup_s;
+  }
   override_from<int>(
       "CUTTLEFISH_JPI_SAMPLES",
       [](const std::string& t) { return parse_int_in_range(t, 1, 1000000); },

@@ -31,7 +31,9 @@ namespace cuttlefish::core {
 /// Numbers must be finite, and the durations bounded so the daemon's
 /// nanosecond clocks cannot overflow. Malformed values are rejected with
 /// a warning and the previous value is kept — a bad environment must
-/// never break the host application.
+/// never break the host application. So is a Tinv and warm-up pair whose
+/// warm-up count does not fit (warmup_count_fits, core/config.hpp): the
+/// warning names both, and the caller's pair is kept.
 ControllerConfig apply_env_overrides(ControllerConfig base);
 
 /// Node-local power-arbiter attachment, resolved from the environment

@@ -1,7 +1,6 @@
 #include "exp/driver.hpp"
 
 #include <cstdio>
-#include <limits>
 #include <string>
 
 #include "common/assert.hpp"
@@ -10,11 +9,6 @@
 namespace cuttlefish::exp {
 
 namespace {
-
-/// The most warm-up quanta a pair may ask for: half of INT_MAX, which
-/// leaves the quantum-by-quantum sum's rounding drift (a few hundred
-/// quanta at most at this count) far from overflowing the int count.
-constexpr double kMaxWarmupQuanta = std::numeric_limits<int>::max() / 2;
 
 std::string warmup_refusal(double tinv_s, double warmup_s) {
   char text[160];
@@ -66,7 +60,7 @@ Stepper::Stepper(const sim::MachineConfig& machine_cfg,
 int Stepper::warmup_quanta_for(double tinv_s, double warmup_s) {
   // Refused up front: a count past INT_MAX overflows `n`, and a Tinv too
   // small to move `t` (t + tinv_s == t) would never end the loop.
-  CF_ASSERT(tinv_s > 0.0 && (warmup_s + 1e-12) / tinv_s <= kMaxWarmupQuanta,
+  CF_ASSERT(core::warmup_count_fits(tinv_s, warmup_s),
             warmup_refusal(tinv_s, warmup_s).c_str());
   // Accumulated quantum by quantum, as every run has always counted it.
   int n = 0;

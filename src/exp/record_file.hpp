@@ -7,8 +7,8 @@
 #include <string_view>
 
 /// The one file primitive behind everything the experiment engine and
-/// sessions persist. Checksummed formats (cache shards, shard tables, the
-/// supervisor journal and quarantine manifest, worker result files) are
+/// sessions persist. Checksummed formats (cache shards, the supervisor
+/// journal and quarantine manifest, worker result files) are
 /// built from frames, `u32 magic | body | u64 checksum64(body)`, either
 /// laid end to end in a stream or filling a whole file.
 ///

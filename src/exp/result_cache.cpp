@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <numeric>
+#include <optional>
 #include <tuple>
 
 #include "common/assert.hpp"
@@ -26,8 +27,6 @@ constexpr uint32_t kResultFormatVersion = 1;
 constexpr uint32_t kShardMagic = 0x43465348u;  // "CFSH"
 constexpr uint32_t kShardFormatVersion = 1;
 constexpr uint32_t kRecordMagic = 0x43465243u;  // "CFRC"
-constexpr uint32_t kTableMagic = 0x43465442u;  // "CFTB"
-constexpr uint32_t kTableFormatVersion = 1;
 
 /// Record frames: a head of digest (16) + spec and result lengths, then
 /// the spec and result payloads.
@@ -409,205 +408,6 @@ bool ResultCache::entry(size_t i, EntryView* out) {
                });
   if (ok) out->digest = e.digest;
   return ok;
-}
-
-// ---- sharded partial result tables ------------------------------------
-
-bool save_shard_table(const std::string& path, const ShardTable& table) {
-  BlobWriter body;
-  body.u32(kTableFormatVersion);
-  body.u64(table.grid_size);
-  body.i32(table.shard_index);
-  body.i32(table.shard_count);
-  body.u64(table.rows.size());
-  for (const auto& [index, result] : table.rows) {
-    const std::string bytes = encode_result(result);
-    body.u64(index);
-    body.u32(static_cast<uint32_t>(bytes.size()));
-    body.bytes(bytes.data(), bytes.size());
-  }
-  return write_file_atomic(path, encode_frame(kTableMagic, body.data()));
-}
-
-bool load_shard_table(const std::string& path, ShardTable* out,
-                      std::string* error) {
-  std::string data;
-  if (!read_file(path, &data)) {
-    *error = "cannot read " + path;
-    return false;
-  }
-  std::string_view body;
-  std::string why;
-  if (!whole_frame(data, kTableMagic, &body, &why)) {
-    *error = path + " " + why;
-    return false;
-  }
-  BlobReader r(body.data(), body.size());
-  if (r.u32() != kTableFormatVersion) {
-    *error = path + " has an unsupported table version";
-    return false;
-  }
-  ShardTable table;
-  table.grid_size = r.u64();
-  table.shard_index = r.i32();
-  table.shard_count = r.i32();
-  const uint64_t rows = r.u64();
-  if (!r.ok() || rows > r.remaining() / 12) {
-    *error = path + " has a malformed header";
-    return false;
-  }
-  table.rows.reserve(rows);
-  for (uint64_t i = 0; i < rows; ++i) {
-    const uint64_t index = r.u64();
-    const uint32_t len = r.u32();
-    const char* bytes = r.span(len);
-    RunResult result;
-    if (bytes == nullptr || !decode_result(bytes, len, &result)) {
-      *error = path + " has an undecodable result row";
-      return false;
-    }
-    table.rows.emplace_back(index, std::move(result));
-  }
-  if (!r.ok() || r.remaining() != 0) {
-    *error = path + " has trailing or missing bytes";
-    return false;
-  }
-  table.source = path;
-  *out = std::move(table);
-  return true;
-}
-
-namespace {
-
-/// "shard i/N (file.tbl)" when the table came from disk, "shard i/N"
-/// otherwise — merge diagnostics always lead with the artifact to act on.
-std::string table_label(const ShardTable& table) {
-  std::string label = "shard " + std::to_string(table.shard_index) + "/" +
-                      std::to_string(table.shard_count);
-  if (!table.source.empty()) label += " (" + table.source + ")";
-  return label;
-}
-
-}  // namespace
-
-std::optional<std::vector<RunResult>> merge_shard_tables(
-    const std::vector<ShardTable>& tables, std::string* error) {
-  if (tables.empty()) {
-    *error = "no shard tables to merge";
-    return std::nullopt;
-  }
-  const uint64_t grid_size = tables.front().grid_size;
-  const int shard_count = tables.front().shard_count;
-  // Duplicate tables are diagnosed up front — by shard index AND by the
-  // files claiming it — so a CI merge that globbed the same file twice
-  // (or two processes that ran the same shard) hears exactly which
-  // artifacts collided rather than a per-row "covered twice" at some
-  // arbitrary row.
-  {
-    std::vector<std::vector<const ShardTable*>> claims(
-        static_cast<size_t>(std::max(shard_count, 1)));
-    for (const ShardTable& table : tables) {
-      if (table.shard_index < 0 || table.shard_index >= shard_count) {
-        continue;  // reported with full context below
-      }
-      claims[static_cast<size_t>(table.shard_index)].push_back(&table);
-    }
-    std::string duplicated;
-    for (int s = 0; s < shard_count; ++s) {
-      const auto& owners = claims[static_cast<size_t>(s)];
-      if (owners.size() < 2) continue;
-      if (!duplicated.empty()) duplicated += "; ";
-      duplicated +=
-          "shard " + std::to_string(s) + "/" + std::to_string(shard_count);
-      std::string files;
-      for (const ShardTable* t : owners) {
-        if (t->source.empty()) continue;
-        if (!files.empty()) files += ", ";
-        files += t->source;
-      }
-      if (!files.empty()) duplicated += " (from " + files + ")";
-    }
-    if (!duplicated.empty()) {
-      *error = "duplicated shard tables: " + duplicated +
-               " — each shard may appear once in the merge list";
-      return std::nullopt;
-    }
-  }
-  std::vector<RunResult> results(grid_size);
-  std::vector<uint8_t> covered(grid_size, 0);
-  for (const ShardTable& table : tables) {
-    if (table.grid_size != grid_size || table.shard_count != shard_count) {
-      *error = table_label(table) + " disagrees on grid shape (" +
-               std::to_string(table.grid_size) + " cells/" +
-               std::to_string(table.shard_count) + " shards vs " +
-               std::to_string(grid_size) + "/" +
-               std::to_string(shard_count) + ")";
-      return std::nullopt;
-    }
-    if (table.shard_index < 0 || table.shard_index >= shard_count) {
-      *error = table_label(table) + ": shard index out of range for " +
-               std::to_string(shard_count) + " shards";
-      return std::nullopt;
-    }
-    for (const auto& [index, result] : table.rows) {
-      if (index >= grid_size) {
-        *error = "row index " + std::to_string(index) +
-                 " outside the grid of " + std::to_string(grid_size) +
-                 " in " + table_label(table);
-        return std::nullopt;
-      }
-      if (static_cast<int>(index % static_cast<uint64_t>(shard_count)) !=
-          table.shard_index) {
-        *error = "row " + std::to_string(index) + " does not belong to " +
-                 table_label(table);
-        return std::nullopt;
-      }
-      if (covered[index]) {
-        *error = "row " + std::to_string(index) + " covered twice (last by " +
-                 table_label(table) + ")";
-        return std::nullopt;
-      }
-      covered[index] = 1;
-      results[index] = result;
-    }
-  }
-  // An imperfect partition is named precisely: every uncovered row maps
-  // back to its owning shard (index % N), so the error lists exactly the
-  // --shard i/N invocations still missing instead of the first bad row.
-  uint64_t missing_rows = 0;
-  std::vector<uint8_t> shard_missing(
-      static_cast<size_t>(std::max(shard_count, 1)), 0);
-  for (uint64_t i = 0; i < grid_size; ++i) {
-    if (!covered[i]) {
-      ++missing_rows;
-      shard_missing[i % static_cast<uint64_t>(shard_count)] = 1;
-    }
-  }
-  if (missing_rows > 0) {
-    std::string shards;
-    for (int s = 0; s < shard_count; ++s) {
-      if (!shard_missing[static_cast<size_t>(s)]) continue;
-      if (!shards.empty()) shards += ", ";
-      shards += std::to_string(s) + "/" + std::to_string(shard_count);
-    }
-    // Name what WAS merged alongside what is missing: the absent shard
-    // has no file to point at, but the loaded file list tells the
-    // operator which glob/artifact set came up short.
-    std::string merged_files;
-    for (const ShardTable& table : tables) {
-      if (table.source.empty()) continue;
-      if (!merged_files.empty()) merged_files += ", ";
-      merged_files += table.source;
-    }
-    *error = std::to_string(missing_rows) + " of " +
-             std::to_string(grid_size) +
-             " rows uncovered; missing shard tables: " + shards;
-    if (!merged_files.empty()) {
-      *error += " (merged files: " + merged_files + ")";
-    }
-    return std::nullopt;
-  }
-  return results;
 }
 
 }  // namespace cuttlefish::exp

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -12,10 +11,11 @@
 #include "exp/driver.hpp"
 #include "exp/spec_digest.hpp"
 
-/// On-disk content-addressed store for sweep results, plus the partial
-/// result tables behind the `--shard i/N` protocol. Both share one
-/// byte-exact RunResult codec so a cached or merged result is
-/// indistinguishable — bit for bit — from a fresh co-simulation.
+/// On-disk content-addressed store for sweep results, and the one format
+/// they move between hosts in: each `--shard i/N` run writes a store, and
+/// the merge opens one store holding all their shard files. A byte-exact
+/// RunResult codec makes a cached or merged result indistinguishable —
+/// bit for bit — from a fresh co-simulation.
 ///
 /// Store layout (`<dir>/`):
 ///   shard-<hex16>.bin   append-only record files, named by their own
@@ -138,33 +138,5 @@ class ResultCache {
   std::unordered_map<SpecDigest, size_t, SpecDigestHash> index_;
   uint64_t skipped_records_ = 0;
 };
-
-// ---- sharded partial result tables ------------------------------------
-
-/// One process's share of a grid under the `--shard i/N` protocol: the
-/// results of every spec index it owns, keyed by that index so N tables
-/// reassemble the single-process result vector byte-identically.
-struct ShardTable {
-  uint64_t grid_size = 0;
-  int shard_index = 0;
-  int shard_count = 1;
-  std::vector<std::pair<uint64_t, RunResult>> rows;
-  /// File this table was loaded from (set by load_shard_table; empty for
-  /// in-memory tables). Diagnostics only — never serialized: merge errors
-  /// name the offending *file*, not just the shard index, so a fleet
-  /// operator knows which artifact to re-fetch or delete.
-  std::string source;
-};
-
-/// One checksummed frame, replaced atomically. False (with a message on
-/// stderr) on I/O failure, leaving any previous file at `path` intact.
-bool save_shard_table(const std::string& path, const ShardTable& table);
-/// False + *error on malformed/corrupt files.
-bool load_shard_table(const std::string& path, ShardTable* out,
-                      std::string* error);
-/// Reassembles the full result vector. nullopt + *error unless the tables
-/// agree on (grid_size, shard_count) and cover every index exactly once.
-std::optional<std::vector<RunResult>> merge_shard_tables(
-    const std::vector<ShardTable>& tables, std::string* error);
 
 }  // namespace cuttlefish::exp

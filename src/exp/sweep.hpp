@@ -152,10 +152,9 @@ inline bool shard_owns(uint64_t index, int shard_index, int shard_count) {
 }
 
 /// Run only the specs shard `shard_index` of `shard_count` owns, returning
-/// (spec index, result) rows ready for a ShardTable
-/// (exp/result_cache.hpp). N processes running the N shards of one grid —
-/// with or without a shared cache — merge byte-identically to the
-/// single-process table.
+/// their (spec index, result) rows; given a cache, they land in its store.
+/// The stores of the N shards of one grid, copied into one, serve the grid
+/// byte-identically to the single-process table.
 std::vector<std::pair<uint64_t, RunResult>> run_sweep_shard(
     const SweepGrid& grid, int shard_index, int shard_count,
     runtime::TaskScheduler* scheduler = nullptr, ResultCache* cache = nullptr,

@@ -171,6 +171,40 @@ TEST(EnvConfig, DoublesMustBeFiniteAndDurationsBounded) {
   }
 }
 
+TEST(EnvConfig, AnUncountableWarmupPairKeepsTheCallersPair) {
+  // Each value passes its own bound, but a co-simulation refuses a pair
+  // whose warm-up count does not fit: the environment's pair is ignored
+  // whole, with a warning, instead of aborting the host.
+  const ControllerConfig defaults;
+  ControllerConfig caller;
+  caller.tinv_s = 0.060;
+  caller.warmup_s = 3.0;
+  const auto expect_kept = [&](const char* what) {
+    ControllerConfig cfg = apply_env_overrides({});
+    EXPECT_DOUBLE_EQ(cfg.tinv_s, defaults.tinv_s) << what;
+    EXPECT_DOUBLE_EQ(cfg.warmup_s, defaults.warmup_s) << what;
+    cfg = apply_env_overrides(caller);
+    EXPECT_DOUBLE_EQ(cfg.tinv_s, caller.tinv_s) << what;
+    EXPECT_DOUBLE_EQ(cfg.warmup_s, caller.warmup_s) << what;
+  };
+  {
+    EnvGuard g("CUTTLEFISH_WARMUP_S", "1e9");  // 5e10 quanta at 20 ms
+    EXPECT_FALSE(warmup_count_fits(defaults.tinv_s, 1e9));
+    expect_kept("WARMUP_S=1e9");
+  }
+  {
+    EnvGuard g1("CUTTLEFISH_TINV_MS", "0.001");
+    EnvGuard g2("CUTTLEFISH_WARMUP_S", "1e6");  // 1e12 quanta
+    expect_kept("TINV_MS=0.001 WARMUP_S=1e6");
+  }
+  EnvGuard g1("CUTTLEFISH_TINV_MS", "0.001");
+  EnvGuard g2("CUTTLEFISH_WARMUP_S", "2");  // 2e6 quanta
+  const ControllerConfig cfg = apply_env_overrides(caller);
+  EXPECT_DOUBLE_EQ(cfg.tinv_s, 1e-6);
+  EXPECT_DOUBLE_EQ(cfg.warmup_s, 2.0);
+  EXPECT_TRUE(warmup_count_fits(cfg.tinv_s, cfg.warmup_s));
+}
+
 TEST(EnvConfig, UnrepresentableSamplesKeepAManualSessionAlive) {
   // The warn-and-keep contract end to end: a manual-tick session under
   // CUTTLEFISH_JPI_SAMPLES=1e10 starts with the default quota instead of

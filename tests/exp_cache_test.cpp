@@ -17,6 +17,7 @@
 #include <span>
 #include <thread>
 
+#include "exp/record_file.hpp"
 #include "exp/spec_digest.hpp"
 #include "exp/sweep.hpp"
 #include "sim/machine_config.hpp"
@@ -462,129 +463,111 @@ TEST(exp_cache, EntryViewExposesSpecAndResult) {
   EXPECT_FALSE(cache.entry(cache.size(), &out_of_range));
 }
 
-// ---- shard tables ------------------------------------------------------
+// ---- sharded grids ----------------------------------------------------
 
-TEST(exp_cache, ShardMergeIsByteIdenticalForSeveralPartitions) {
+/// Copies every shard file of `from` into `to`, as a fleet merges the
+/// stores of its shards (content names: a copy can only add files).
+void copy_shards(const TempStore& from, const fs::path& to) {
+  fs::create_directories(to);
+  for (const fs::path& shard : from.shards()) {
+    fs::copy_file(shard, to / shard.filename(),
+                  fs::copy_options::overwrite_existing);
+  }
+}
+
+TEST(exp_cache, ShardStoresCopiedIntoOneServeTheWholeGrid) {
   const sim::MachineConfig machine = sim::haswell_2650v3();
   const SweepGrid grid = make_grid(machine, 3);
   const auto serial = run_sweep(grid, nullptr);
 
   for (const int n : {1, 2, 3, 5}) {
-    std::vector<ShardTable> tables;
+    TempStore merged("merged" + std::to_string(n));
     size_t covered = 0;
     for (int i = 0; i < n; ++i) {
-      ShardTable t;
-      t.grid_size = grid.size();
-      t.shard_index = i;
-      t.shard_count = n;
-      t.rows = run_sweep_shard(grid, i, n);
-      covered += t.rows.size();
-      tables.push_back(std::move(t));
+      TempStore own("shard" + std::to_string(n) + "_" + std::to_string(i));
+      {
+        ResultCache cache(own.path());
+        const auto rows = run_sweep_shard(grid, i, n, nullptr, &cache);
+        for (const auto& [idx, r] : rows) {
+          EXPECT_TRUE(shard_owns(idx, i, n));
+          EXPECT_TRUE(same_result_bytes(r, serial[idx])) << "spec " << idx;
+        }
+        covered += rows.size();
+      }
+      copy_shards(own, merged.dir());
     }
     EXPECT_EQ(covered, grid.size());
-    std::string error;
-    const auto merged = merge_shard_tables(tables, &error);
-    ASSERT_TRUE(merged.has_value()) << "N=" << n << ": " << error;
-    EXPECT_TRUE(tables_identical(serial, *merged)) << "N=" << n;
+    ResultCache cache(merged.path());
+    EXPECT_EQ(cache.size(), grid.size()) << "N=" << n;
+    SweepRunStats stats;
+    const auto served = run_sweep(grid, nullptr, &cache, &stats);
+    EXPECT_EQ(stats.cache_hits, grid.size()) << "N=" << n;
+    EXPECT_EQ(stats.cache_misses, 0u) << "N=" << n;
+    EXPECT_TRUE(tables_identical(serial, served)) << "N=" << n;
   }
 }
 
-TEST(exp_cache, ShardTableSurvivesTheFileRoundTrip) {
+TEST(exp_cache, ADoubledShardCollidesToOneFile) {
+  // Two hosts that ran the same shard wrote the same bytes under the same
+  // content name: copying both into one store keeps one file, and the
+  // cells are indexed once.
   const sim::MachineConfig machine = sim::haswell_2650v3();
   const SweepGrid grid = make_grid(machine, 2);
   const auto serial = run_sweep(grid, nullptr);
-  TempStore store("table");
-  fs::create_directories(store.dir());
-
-  std::vector<ShardTable> loaded;
-  for (int i = 0; i < 2; ++i) {
-    ShardTable t;
-    t.grid_size = grid.size();
-    t.shard_index = i;
-    t.shard_count = 2;
-    t.rows = run_sweep_shard(grid, i, 2);
-    const std::string path =
-        (store.dir() / ("s" + std::to_string(i) + ".tbl")).string();
-    ASSERT_TRUE(save_shard_table(path, t));
-    ShardTable back;
-    std::string error;
-    ASSERT_TRUE(load_shard_table(path, &back, &error)) << error;
-    EXPECT_EQ(back.grid_size, t.grid_size);
-    EXPECT_EQ(back.shard_index, i);
-    loaded.push_back(std::move(back));
+  TempStore host_a("double_a");
+  TempStore host_b("double_b");
+  TempStore other("double_other");
+  for (const TempStore* store : {&host_a, &host_b}) {
+    ResultCache cache(store->path());
+    run_sweep_shard(grid, 0, 2, nullptr, &cache);
   }
-  std::string error;
-  const auto merged = merge_shard_tables(loaded, &error);
-  ASSERT_TRUE(merged.has_value()) << error;
-  EXPECT_TRUE(tables_identical(serial, *merged));
-}
-
-TEST(exp_cache, MergeRejectsBadShardSets) {
-  const sim::MachineConfig machine = sim::haswell_2650v3();
-  const SweepGrid grid = make_grid(machine, 1);
-  const auto make_table = [&](int i, int n) {
-    ShardTable t;
-    t.grid_size = grid.size();
-    t.shard_index = i;
-    t.shard_count = n;
-    t.rows = run_sweep_shard(grid, i, n);
-    return t;
-  };
-  std::string error;
-
-  // Missing shard: coverage is incomplete.
-  EXPECT_FALSE(merge_shard_tables({make_table(0, 2)}, &error).has_value());
-  EXPECT_FALSE(error.empty());
-
-  // Duplicate shard: an index is covered twice.
-  EXPECT_FALSE(merge_shard_tables({make_table(0, 2), make_table(0, 2),
-                                   make_table(1, 2)},
-                                  &error)
-                   .has_value());
-
-  // Disagreeing shard_count.
-  EXPECT_FALSE(merge_shard_tables({make_table(0, 2), make_table(1, 3)},
-                                  &error)
-                   .has_value());
-
-  // A row the shard does not own (partition membership violation).
-  ShardTable bad = make_table(0, 2);
-  ASSERT_FALSE(bad.rows.empty());
-  bad.rows[0].first += 1;  // now an odd index in the even shard
-  EXPECT_FALSE(
-      merge_shard_tables({bad, make_table(1, 2)}, &error).has_value());
-}
-
-TEST(exp_cache, CorruptShardTableFileIsRejected) {
-  const sim::MachineConfig machine = sim::haswell_2650v3();
-  const SweepGrid grid = make_grid(machine, 1);
-  ShardTable t;
-  t.grid_size = grid.size();
-  t.shard_index = 0;
-  t.shard_count = 1;
-  t.rows = run_sweep_shard(grid, 0, 1);
-  TempStore store("badtable");
-  fs::create_directories(store.dir());
-  const std::string path = (store.dir() / "t.tbl").string();
-  ASSERT_TRUE(save_shard_table(path, t));
-
-  // Flip a payload byte: the trailing checksum must catch it.
   {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(static_cast<std::streamoff>(fs::file_size(path)) / 2);
-    char byte = 0x55;
-    f.write(&byte, 1);
+    ResultCache cache(other.path());
+    run_sweep_shard(grid, 1, 2, nullptr, &cache);
   }
-  ShardTable back;
-  std::string error;
-  EXPECT_FALSE(load_shard_table(path, &back, &error));
-  EXPECT_FALSE(error.empty());
+  ASSERT_EQ(host_a.shards().size(), 1u);
+  ASSERT_EQ(host_b.shards().size(), 1u);
+  EXPECT_EQ(host_a.shards()[0].filename(), host_b.shards()[0].filename());
 
-  // Truncation too.
-  fs::resize_file(path, fs::file_size(path) / 2);
-  EXPECT_FALSE(load_shard_table(path, &back, &error));
-  EXPECT_FALSE(load_shard_table((store.dir() / "absent.tbl").string(),
-                                &back, &error));
+  TempStore merged("double_merged");
+  for (const TempStore* store : {&host_a, &host_b, &other}) {
+    copy_shards(*store, merged.dir());
+  }
+  EXPECT_EQ(merged.shards().size(), 2u);
+  ResultCache cache(merged.path());
+  EXPECT_EQ(cache.size(), grid.size());
+  SweepRunStats stats;
+  const auto served = run_sweep(grid, nullptr, &cache, &stats);
+  EXPECT_EQ(stats.cache_misses, 0u);
+  EXPECT_TRUE(tables_identical(serial, served));
+}
+
+TEST(exp_cache, AStoreMissingAShardLacksExactlyItsCells) {
+  // The merge's check: a store made of shard 0/2 alone holds the even
+  // cells and none of the odd ones, and a sweep over it serves the first
+  // and simulates the second.
+  const sim::MachineConfig machine = sim::haswell_2650v3();
+  const SweepGrid grid = make_grid(machine, 2);
+  const auto serial = run_sweep(grid, nullptr);
+  TempStore store("partial");
+  size_t owned = 0;
+  {
+    ResultCache cache(store.path());
+    owned = run_sweep_shard(grid, 0, 2, nullptr, &cache).size();
+  }
+  ResultCache cache(store.path());
+  size_t missing = 0;
+  for (size_t i = 0; i < grid.size(); ++i) {
+    const bool held = cache.contains(digest_spec(grid.specs()[i]));
+    EXPECT_EQ(held, shard_owns(i, 0, 2)) << "spec " << i;
+    missing += held ? 0 : 1;
+  }
+  EXPECT_EQ(missing, grid.size() - owned);
+  SweepRunStats stats;
+  const auto served = run_sweep(grid, nullptr, &cache, &stats);
+  EXPECT_EQ(stats.cache_hits, owned);
+  EXPECT_EQ(stats.cache_misses, missing);
+  EXPECT_TRUE(tables_identical(serial, served));
 }
 
 /// Runs `body` in a forked child whose files may not grow past
@@ -624,38 +607,32 @@ std::vector<std::string> dir_names(const fs::path& dir) {
   return names;
 }
 
-TEST(exp_cache, FailedTableSaveKeepsTheOldFileAndLeavesNoTemp) {
+TEST(exp_cache, FailedAtomicWriteKeepsTheOldFileAndLeavesNoTemp) {
   TempStore store("fsize");
   fs::create_directories(store.dir());
-  const std::string path = (store.dir() / "t.tbl").string();
-  ShardTable small;  // no rows: a 40-byte file
-  small.grid_size = 4;
-  ShardTable large = small;  // one row with a long timeline: ~64 KiB
-  RunResult result;
-  result.timeline.resize(2000);
-  large.rows.emplace_back(0, result);
-  ASSERT_TRUE(save_shard_table(path, small));
-  const std::string old_bytes = read_bytes(path);
+  const std::string path = (store.dir() / "t.bin").string();
+  const std::string old_bytes(40, 'o');
+  const std::string small(40, 's');
+  const std::string large(64 * 1024, 'l');
+  ASSERT_TRUE(write_file_atomic(path, old_bytes));
 
-  // Under a 20-byte file-size limit neither body fits: each save must
-  // report failure, keep the previous table, and clean up its temp.
+  // Under a 20-byte file-size limit neither body fits: each write must
+  // report failure, keep the previous bytes, and clean up its temp.
   const std::string verdict = in_child_with_file_size_limit(20, [&] {
-    for (const ShardTable* table : {&small, &large}) {
+    for (const std::string* body : {&small, &large}) {
       const std::string what =
-          table->rows.empty() ? "small table: " : "large table: ";
-      if (save_shard_table(path, *table)) return what + "save succeeded\n";
+          body == &small ? "small body: " : "large body: ";
+      if (write_file_atomic(path, *body)) return what + "write succeeded\n";
       if (read_bytes(path) != old_bytes) return what + "old file changed\n";
-      if (dir_names(store.dir()) != std::vector<std::string>{"t.tbl"}) {
+      if (dir_names(store.dir()) != std::vector<std::string>{"t.bin"}) {
         return what + "temp file left behind\n";
       }
     }
     return std::string();
   });
   EXPECT_EQ(verdict, "");
-  ShardTable back;
-  std::string error;
-  EXPECT_TRUE(load_shard_table(path, &back, &error)) << error;
-  EXPECT_EQ(dir_names(store.dir()), std::vector<std::string>{"t.tbl"});
+  EXPECT_EQ(read_bytes(path), old_bytes);
+  EXPECT_EQ(dir_names(store.dir()), std::vector<std::string>{"t.bin"});
 }
 
 TEST(exp_cache, ConcurrentNoteRunsAlwaysLeaveACompleteLastRun) {
@@ -686,48 +663,6 @@ TEST(exp_cache, ConcurrentNoteRunsAlwaysLeaveACompleteLastRun) {
   EXPECT_EQ(bad_reads.load(), 0);
   EXPECT_EQ(dir_names(store.dir()),
             std::vector<std::string>{"last_run.stats"});
-}
-
-TEST(exp_cache, MergeDiagnosticsNameTheOffendingFiles) {
-  const sim::MachineConfig machine = sim::haswell_2650v3();
-  const SweepGrid grid = make_grid(machine, 1);
-  TempStore store("mergediag");
-  fs::create_directories(store.dir());
-
-  ShardTable t0, t1;
-  t0.grid_size = t1.grid_size = grid.size();
-  t0.shard_count = t1.shard_count = 2;
-  t0.shard_index = 0;
-  t1.shard_index = 1;
-  t0.rows = run_sweep_shard(grid, 0, 2);
-  t1.rows = run_sweep_shard(grid, 1, 2);
-
-  // The same shard saved twice under different names — the fleet-ops
-  // shape of a doubled artifact, where "shard 0 is duplicated" alone
-  // does not say which file to delete.
-  const std::string path_a = (store.dir() / "node-a.tbl").string();
-  const std::string path_b = (store.dir() / "node-b.tbl").string();
-  const std::string path_c = (store.dir() / "node-c.tbl").string();
-  ASSERT_TRUE(save_shard_table(path_a, t0));
-  ASSERT_TRUE(save_shard_table(path_b, t0));
-  ASSERT_TRUE(save_shard_table(path_c, t1));
-
-  std::vector<ShardTable> loaded(3);
-  std::string error;
-  ASSERT_TRUE(load_shard_table(path_a, &loaded[0], &error)) << error;
-  ASSERT_TRUE(load_shard_table(path_b, &loaded[1], &error)) << error;
-  ASSERT_TRUE(load_shard_table(path_c, &loaded[2], &error)) << error;
-  EXPECT_EQ(loaded[0].source, path_a);
-
-  EXPECT_FALSE(merge_shard_tables(loaded, &error).has_value());
-  EXPECT_NE(error.find("node-a.tbl"), std::string::npos) << error;
-  EXPECT_NE(error.find("node-b.tbl"), std::string::npos) << error;
-
-  // Missing shard: the error lists the files that *were* merged, so the
-  // absent artifact is identifiable by elimination.
-  EXPECT_FALSE(
-      merge_shard_tables({loaded[0]}, &error).has_value());
-  EXPECT_NE(error.find("node-a.tbl"), std::string::npos) << error;
 }
 
 TEST(exp_cache, CacheDirVanishingMidRunDegradesToSimulation) {
