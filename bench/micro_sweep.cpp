@@ -19,7 +19,9 @@
 // differ the digest check is skipped with an explicit reason (printed and
 // recorded as digest_skip_reason) — a --seeds/--runs override is a
 // different grid, not drift. A baseline that is not JSON or has no
-// positive serial.virtual_s_per_wall_s exits 2 before the serial run.
+// positive serial.virtual_s_per_wall_s exits 2 before the serial run, and
+// so does --baseline with --shard or --merge, which make no serial run to
+// compare.
 //
 // --cache-dir DIR measures the content-addressed result cache: a cold
 // cached run (misses simulate and persist), a warm re-run on the same
@@ -588,6 +590,12 @@ int main(int argc, char** argv) {
     return fail_usage(argv[0],
                       "--shard i/N requires --cache-dir DIR, the store the "
                       "shard runs into");
+  }
+  if (!baseline_path.empty() &&
+      (args.shard_count > 1 || !merge_dir.empty())) {
+    return fail_usage(argv[0],
+                      "--baseline compares a full run's serial pass; "
+                      "--shard and --merge make none");
   }
   if (!args.supervised &&
       (!args.journal_dir.empty() || !args.crash_at.empty() ||

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -21,34 +22,54 @@ static_assert(std::endian::native == std::endian::little,
               "blob encoding (and the pinned golden spec digests) assume a "
               "little-endian host");
 
+/// Writes land in a buffer sized ahead of them: a fixed-width field is an
+/// inline bounds check and one store, and only growing the buffer calls
+/// out of line. `reserve` the expected size up front and a whole record
+/// is encoded without a call per field.
 class BlobWriter {
  public:
-  void u8(uint8_t v) { append(&v, sizeof(v)); }
-  void u32(uint32_t v) { append(&v, sizeof(v)); }
-  void i32(int32_t v) { append(&v, sizeof(v)); }
-  void u64(uint64_t v) { append(&v, sizeof(v)); }
-  void i64(int64_t v) { append(&v, sizeof(v)); }
-  void f64(double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
+  void u8(uint8_t v) { put(v); }
+  void u32(uint32_t v) { put(v); }
+  void i32(int32_t v) { put(v); }
+  void u64(uint64_t v) { put(v); }
+  void i64(int64_t v) { put(v); }
+  void f64(double v) { put(std::bit_cast<uint64_t>(v)); }
   void str(std::string_view s) {
     u32(static_cast<uint32_t>(s.size()));
-    append(s.data(), s.size());
+    bytes(s.data(), s.size());
   }
-  void bytes(const void* p, size_t n) { append(p, n); }
-  void reserve(size_t n) { buf_.reserve(n); }
+  void bytes(const void* p, size_t n) {
+    if (n == 0) return;  // `p` may be null then, which memcpy forbids
+    if (n > buf_.size() - size_) grow(n);
+    std::memcpy(buf_.data() + size_, p, n);
+    size_ += n;
+  }
+  /// Room for `n` bytes in all, so writes up to that size never grow.
+  void reserve(size_t n) {
+    if (n > buf_.size()) buf_.resize(n);
+  }
 
-  size_t size() const { return buf_.size(); }
-  const std::string& data() const { return buf_; }
-  std::string take() { return std::move(buf_); }
+  size_t size() const { return size_; }
+  std::string_view data() const { return {buf_.data(), size_}; }
+  std::string take() {
+    buf_.resize(size_);
+    size_ = 0;
+    return std::move(buf_);
+  }
 
  private:
-  void append(const void* p, size_t n) {
-    buf_.append(static_cast<const char*>(p), n);
+  template <typename T>
+  void put(T v) {
+    bytes(&v, sizeof(T));
   }
-  std::string buf_;
+  /// At least doubles the buffer, so a stream of small writes grows it
+  /// O(log n) times.
+  [[gnu::noinline]] void grow(size_t n) {
+    buf_.resize(std::max(2 * buf_.size(), size_ + n));
+  }
+
+  std::string buf_;  // the first size_ bytes are written; the rest is room
+  size_t size_ = 0;
 };
 
 /// Any overrun (or a string length past the end) flips ok() to false and

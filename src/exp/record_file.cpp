@@ -58,16 +58,16 @@ bool write_all(int fd, std::string_view bytes) {
   return true;
 }
 
-bool read_at(int fd, uint64_t offset, char* dst, size_t size) {
-  while (size > 0) {
-    const ssize_t n = ::pread(fd, dst, size, static_cast<off_t>(offset));
+size_t read_at(int fd, uint64_t offset, char* dst, size_t size) {
+  size_t done = 0;
+  while (done < size) {
+    const ssize_t n = ::pread(fd, dst + done, size - done,
+                              static_cast<off_t>(offset + done));
     if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    dst += n;
-    size -= static_cast<size_t>(n);
-    offset += static_cast<uint64_t>(n);
+    if (n <= 0) break;
+    done += static_cast<size_t>(n);
   }
-  return true;
+  return done;
 }
 
 bool write_file_atomic(const std::string& path, std::string_view body) {

@@ -40,10 +40,11 @@ struct FdCloser {
 /// Writes all of `bytes` to `fd`, retrying short writes. False on error.
 bool write_all(int fd, std::string_view bytes);
 
-/// Reads exactly `size` bytes at `offset` of `fd` into `dst` with
-/// pread(), retrying short reads and EINTR. False on error or when the
-/// file ends first (a shard truncated after it was indexed).
-bool read_at(int fd, uint64_t offset, char* dst, size_t size);
+/// Reads up to `size` bytes at `offset` of `fd` into `dst` with pread(),
+/// retrying short reads and EINTR, and returns how many it read: fewer
+/// than `size` only when the file ends first (a shard truncated after it
+/// was indexed) or a read fails.
+size_t read_at(int fd, uint64_t offset, char* dst, size_t size);
 
 /// Replaces `path` with `body` through a temp file beside it, named per
 /// process and per call so concurrent writers never share one. On failure

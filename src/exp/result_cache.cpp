@@ -1,14 +1,15 @@
 #include "exp/result_cache.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <numeric>
-#include <optional>
 #include <tuple>
 
 #include "common/assert.hpp"
@@ -32,6 +33,21 @@ constexpr uint32_t kRecordMagic = 0x43465243u;  // "CFRC"
 /// the spec and result payloads.
 constexpr size_t kRecordHeader = 16 + 4 + 4;
 constexpr FrameLayout kRecordLayout{kRecordMagic, kRecordHeader, 2};
+
+/// True when `path` is a regular file holding exactly `bytes`. The open
+/// does not block, so a FIFO there fails the check instead of stalling it.
+bool holds_exactly(const std::string& path, std::string_view bytes) {
+  const FdCloser file(
+      ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK));
+  struct stat st {};
+  if (file.fd < 0 || ::fstat(file.fd, &st) != 0 || !S_ISREG(st.st_mode) ||
+      static_cast<uint64_t>(st.st_size) != bytes.size()) {
+    return false;
+  }
+  std::string held(bytes.size(), '\0');
+  return read_at(file.fd, 0, held.data(), held.size()) == held.size() &&
+         held == bytes;
+}
 
 }  // namespace
 
@@ -198,8 +214,15 @@ void ResultCache::read_entries(
     const std::vector<size_t>& wanted, bool with_spec,
     const std::function<bool(size_t k, std::string_view bytes)>& use)
     const {
-  // Shard, then offset: each file is opened once and read front to back,
-  // and repeats of one entry sit together so its bytes are read once.
+  const auto span_begin = [&](const Entry& e) {
+    return with_spec ? e.spec_offset : e.result_offset;
+  };
+  const auto span_length = [&](const Entry& e) {
+    return size_t{e.result_len} + (with_spec ? e.spec_len : 0);
+  };
+  // Shard, then offset: each shard's run of the order is one read, and
+  // repeats of one entry sit together so its bytes are decoded from one
+  // slice.
   std::vector<size_t> order(wanted.size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -208,36 +231,50 @@ void ResultCache::read_entries(
     return std::tie(x.shard, x.spec_offset, a) <
            std::tie(y.shard, y.spec_offset, b);
   });
-  constexpr size_t kNone = ~size_t{0};
-  size_t shard = kNone;
-  std::optional<FdCloser> file;  // the open shard's
-  size_t last = kNone;           // the entry `bytes` belongs to
-  bool last_ok = false;
-  std::string bytes;
-  for (const size_t k : order) {
-    const Entry& e = entries_[wanted[k]];
-    if (e.shard != shard) {
-      shard = e.shard;
-      file.emplace(::open(shard_paths_[shard].c_str(), O_RDONLY | O_CLOEXEC));
-      if (file->fd < 0) {
-        CF_LOG_WARN("result cache: cannot open shard %s (%s); its entries "
-                    "are misses",
-                    shard_paths_[shard].c_str(), std::strerror(errno));
-      }
+  for (size_t g = 0; g < order.size();) {
+    // [g, run_end) is one shard's run; its read spans [first, last).
+    const Entry& head = entries_[wanted[order[g]]];
+    const size_t shard = head.shard;
+    const uint64_t first = span_begin(head);
+    uint64_t last = first;
+    size_t run_end = g;
+    for (; run_end < order.size(); ++run_end) {
+      const Entry& e = entries_[wanted[order[run_end]]];
+      if (e.shard != shard) break;
+      last = std::max(last, span_begin(e) + span_length(e));
     }
-    if (file->fd < 0) continue;
-    if (wanted[k] == last) {
-      if (last_ok) last_ok = use(k, bytes);
+    const FdCloser file(
+        ::open(shard_paths_[shard].c_str(), O_RDONLY | O_CLOEXEC));
+    if (file.fd < 0) {
+      CF_LOG_WARN("result cache: cannot open shard %s (%s); its entries "
+                  "are misses",
+                  shard_paths_[shard].c_str(), std::strerror(errno));
+      g = run_end;
       continue;
     }
-    last = wanted[k];
-    bytes.resize(e.result_len + (with_spec ? e.spec_len : 0));
-    last_ok = read_at(file->fd, with_spec ? e.spec_offset : e.result_offset,
-                      bytes.data(), bytes.size()) &&
-              use(k, bytes);
-    if (!last_ok) {
-      CF_LOG_WARN("result cache: entry %s unreadable; treating as a miss",
-                  e.digest.hex().c_str());
+    // One read for the whole run. It comes up short only when the shard
+    // was cut since the open-time scan or a read failed: then exactly the
+    // spans that end past what was read miss.
+    const auto bytes = std::make_unique_for_overwrite<char[]>(last - first);
+    const size_t got = read_at(file.fd, first, bytes.get(), last - first);
+    constexpr size_t kNone = ~size_t{0};
+    size_t prev = kNone;  // the entry the last slice belonged to
+    bool prev_ok = false;
+    for (; g < run_end; ++g) {
+      const size_t k = order[g];
+      const Entry& e = entries_[wanted[k]];
+      const uint64_t at = span_begin(e) - first;
+      const std::string_view slice(bytes.get() + at, span_length(e));
+      if (wanted[k] == prev) {
+        if (prev_ok) prev_ok = use(k, slice);
+        continue;
+      }
+      prev = wanted[k];
+      prev_ok = at + slice.size() <= got && use(k, slice);
+      if (!prev_ok) {
+        CF_LOG_WARN("result cache: entry %s unreadable; treating as a miss",
+                    e.digest.hex().c_str());
+      }
     }
   }
 }
@@ -339,7 +376,11 @@ void ResultCache::note_run(uint64_t hits, uint64_t misses) {
   std::snprintf(buf, sizeof(buf), "%llu %llu\n",
                 static_cast<unsigned long long>(hits),
                 static_cast<unsigned long long>(misses));
-  write_file_atomic(dir_ + "/last_run.stats", buf);
+  const std::string path = dir_ + "/last_run.stats";
+  // A repeated sweep counts what the last one counted: the file already
+  // holds these bytes, and replacing them would cost a temp file and a
+  // rename for nothing.
+  if (!holds_exactly(path, buf)) write_file_atomic(path, buf);
 }
 
 ResultCache::LastRun ResultCache::last_run() const {

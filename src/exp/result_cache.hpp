@@ -21,7 +21,8 @@
 ///   shard-<hex16>.bin   append-only record files, named by their own
 ///                       content hash (so merging two stores is literally
 ///                       copying files; identical shards collide to one)
-///   last_run.stats      hit/miss counters of the most recent cached sweep
+///   last_run.stats      hit/miss counters of the most recent cached sweep,
+///                       rewritten only when they change
 ///
 /// Crash safety comes from exp/record_file.hpp: every file is replaced
 /// atomically (a failed or interrupted write leaves the old bytes), each
@@ -55,13 +56,15 @@ class ResultCache {
     bool hit = false;
   };
   /// Serves a batch: the indexed requests are grouped by shard, each
-  /// shard file is opened once, and its result spans are read in offset
-  /// order and decoded. Sets every request's `hit`; returns the number of
-  /// hits. A failed read is demoted to a miss, never trusted: a shard
+  /// shard file is opened once and read with one pread, from its first
+  /// wanted result span to its last, and each result is decoded from its
+  /// slice of that buffer. Sets every request's `hit`; returns the number
+  /// of hits. A failed read is demoted to a miss, never trusted: a shard
   /// that vanished or cannot be opened since the open-time scan (logged
-  /// once per shard), a span cut off by truncation or a result that does
-  /// not decode (logged once per entry). No descriptor or payload outlives
-  /// the call.
+  /// once per shard), a span that ends past a short read of a shard cut
+  /// since the open, or a result that does not decode (logged once per
+  /// entry). No descriptor or payload outlives the call; the buffer is at
+  /// most one shard.
   size_t lookup(std::span<Lookup> batch);
   /// The batch of one. False on a miss.
   bool lookup(const SpecDigest& digest, RunResult* out);
@@ -88,7 +91,10 @@ class ResultCache {
     uint64_t hits = 0;
     uint64_t misses = 0;
   };
-  /// Written (temp + rename) by the sweep engine after every cached run.
+  /// Called by the sweep engine after every cached run. The file is
+  /// read first and replaced (temp + rename) only when it does not
+  /// already hold these counters, so a repeated warm sweep writes
+  /// nothing.
   void note_run(uint64_t hits, uint64_t misses);
   LastRun last_run() const;
 
@@ -124,9 +130,11 @@ class ResultCache {
   /// for each of `wanted` (indices into entries_; any order, repeats
   /// allowed) with its record's result bytes, preceded by its spec bytes
   /// when `with_spec` is set (the two spans are adjacent in a record).
-  /// Each shard is opened once and read in offset order. `use` returns
-  /// whether the bytes decoded; an entry that cannot be read or decoded
-  /// is logged once and not offered again.
+  /// Each shard is opened once and read with one pread into one buffer,
+  /// from the first wanted span to the end of the last; `bytes` is a
+  /// slice of it, valid during the call. `use` returns whether the bytes
+  /// decoded; an entry that cannot be read (its span ends past a short
+  /// read) or decoded is logged once and not offered again.
   void read_entries(
       const std::vector<size_t>& wanted, bool with_spec,
       const std::function<bool(size_t k, std::string_view bytes)>& use)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/resource.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -13,10 +14,12 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <numeric>
 #include <random>
 #include <span>
 #include <thread>
 
+#include "exp/blob.hpp"
 #include "exp/record_file.hpp"
 #include "exp/spec_digest.hpp"
 #include "exp/sweep.hpp"
@@ -189,6 +192,43 @@ TEST(exp_cache, DigestIsSensitiveToEveryInputClass) {
   RunSpec opt_seed = base;
   opt_seed.options.seed = 999;
   EXPECT_EQ(digest_spec(opt_seed), d0);
+}
+
+TEST(exp_cache, BlobWriterGrowsToExactlyTheBytesOfItsFields) {
+  // Reserved far too small, so the writes cross many growths.
+  BlobWriter w;
+  w.reserve(8);
+  std::string expected;
+  // Each field goes to the writer and, copied by hand, to the reference.
+  const auto both = [&](auto v, void (BlobWriter::*write)(decltype(v))) {
+    (w.*write)(v);
+    expected.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  std::mt19937_64 rng(25);
+  for (int i = 0; i < 1000; ++i) {
+    const uint64_t x = rng();
+    switch (x % 7) {
+      case 0: both(static_cast<uint8_t>(x >> 8), &BlobWriter::u8); break;
+      case 1: both(static_cast<uint32_t>(x >> 8), &BlobWriter::u32); break;
+      case 2: both(static_cast<int32_t>(x >> 16), &BlobWriter::i32); break;
+      case 3: both(x, &BlobWriter::u64); break;
+      case 4: both(static_cast<int64_t>(x), &BlobWriter::i64); break;
+      case 5: both(static_cast<double>(x) / 3.0, &BlobWriter::f64); break;
+      default: {
+        const std::string s(x % 41, static_cast<char>('a' + x % 26));
+        w.str(s);
+        const auto n = static_cast<uint32_t>(s.size());
+        expected.append(reinterpret_cast<const char*>(&n), sizeof(n));
+        expected += s;
+      }
+    }
+    ASSERT_EQ(w.size(), expected.size()) << i;
+  }
+  EXPECT_TRUE(w.data() == expected);
+  EXPECT_TRUE(w.take() == expected);
+  EXPECT_EQ(w.size(), 0u);
+  w.u32(7);
+  EXPECT_TRUE(w.take() == std::string("\x07\0\0\0", 4));
 }
 
 TEST(exp_cache, SpecBlobRoundTripsAndReRunsIdentically) {
@@ -665,6 +705,72 @@ TEST(exp_cache, ConcurrentNoteRunsAlwaysLeaveACompleteLastRun) {
             std::vector<std::string>{"last_run.stats"});
 }
 
+ino_t inode_of(const std::string& path) {
+  struct stat st {};
+  return ::stat(path.c_str(), &st) == 0 ? st.st_ino : 0;
+}
+
+TEST(exp_cache, NoteRunRewritesLastRunOnlyWhenItsBytesChange) {
+  TempStore store("noterun_same");
+  ResultCache cache(store.path());
+  const std::string path = (store.dir() / "last_run.stats").string();
+
+  // Missing: written.
+  cache.note_run(400, 0);
+  EXPECT_EQ(read_bytes(path), "400 0\n");
+  const ino_t first = inode_of(path);
+  ASSERT_NE(first, 0u);
+
+  // The same counters: the file is left as it is.
+  cache.note_run(400, 0);
+  EXPECT_EQ(inode_of(path), first);
+  EXPECT_EQ(read_bytes(path), "400 0\n");
+
+  // Different counters: replaced, and read back.
+  cache.note_run(399, 1);
+  EXPECT_NE(inode_of(path), first);
+  const ResultCache::LastRun run = cache.last_run();
+  EXPECT_TRUE(run.present);
+  EXPECT_EQ(run.hits, 399u);
+  EXPECT_EQ(run.misses, 1u);
+
+  // Garbage of the same length, a longer file, an empty one and a
+  // missing one are all rewritten.
+  for (const char* garbage : {"399 7\n", "xyz 1\n", "399 1\n399 1\n", ""}) {
+    { std::ofstream out(path, std::ios::binary); out << garbage; }
+    cache.note_run(399, 1);
+    EXPECT_EQ(read_bytes(path), "399 1\n") << garbage;
+  }
+  fs::remove(path);
+  cache.note_run(399, 1);
+  EXPECT_EQ(read_bytes(path), "399 1\n");
+  EXPECT_EQ(dir_names(store.dir()),
+            std::vector<std::string>{"last_run.stats"});
+}
+
+TEST(exp_cache, NoteRunNeitherBlocksOnNorReplacesAFifo) {
+  TempStore store("noterun_fifo");
+  ResultCache cache(store.path());
+  const std::string path = (store.dir() / "last_run.stats").string();
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  // In a child under an alarm, so a read that blocks fails the test
+  // instead of hanging it.
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::alarm(10);
+    cache.note_run(400, 0);
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  struct stat st {};
+  ASSERT_EQ(::stat(path.c_str(), &st), 0);
+  EXPECT_TRUE(S_ISFIFO(st.st_mode));
+  EXPECT_EQ(dir_names(store.dir()),
+            std::vector<std::string>{"last_run.stats"});
+}
+
 TEST(exp_cache, CacheDirVanishingMidRunDegradesToSimulation) {
   const sim::MachineConfig machine = sim::haswell_2650v3();
   const SweepGrid grid = make_grid(machine, 2);
@@ -718,16 +824,17 @@ struct StoredCell {
 };
 
 /// Fills `store` with two shards, one cached sweep of make_grid each
-/// (seed bases 900 and 7777), and locates every cell's record by its
-/// digest, which opens the record's body: digest (16), spec and result
-/// lengths (4 + 4), spec bytes, result bytes.
+/// (seed bases 900 and 7777, `reps` seeds per point), and locates every
+/// cell's record by its digest, which opens the record's body: digest
+/// (16), spec and result lengths (4 + 4), spec bytes, result bytes.
 std::vector<StoredCell> fill_two_shards(const TempStore& store,
-                                        const sim::MachineConfig& machine) {
+                                        const sim::MachineConfig& machine,
+                                        int reps = 1) {
   std::vector<StoredCell> cells;
   {
     ResultCache cache(store.path());
     for (const uint64_t seed0 : {uint64_t{900}, uint64_t{7777}}) {
-      const SweepGrid grid = make_grid(machine, 1, seed0);
+      const SweepGrid grid = make_grid(machine, reps, seed0);
       run_sweep(grid, nullptr, &cache, nullptr);
       const auto serial = run_sweep(grid, nullptr);
       for (size_t i = 0; i < grid.size(); ++i) {
@@ -865,6 +972,115 @@ TEST(exp_cache, TruncatedShardAfterOpenMissesExactlyTheCutSpans) {
     EXPECT_EQ(batch[i].hit, !cut_off) << i;
     if (batch[i].hit) {
       EXPECT_TRUE(same_result_bytes(served[i], cells[i].serial)) << i;
+    }
+  }
+}
+
+/// The indices of the cells stored in `shard`, in file order.
+std::vector<size_t> cells_in_shard(const std::vector<StoredCell>& cells,
+                                   const fs::path& shard) {
+  std::vector<size_t> in_shard;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    if (cells[i].shard == shard) in_shard.push_back(i);
+  }
+  std::sort(in_shard.begin(), in_shard.end(), [&](size_t a, size_t b) {
+    return cells[a].result_begin < cells[b].result_begin;
+  });
+  return in_shard;
+}
+
+TEST(exp_cache, OneReadPerShardServesEveryBatchShape) {
+  const sim::MachineConfig machine = sim::haswell_2650v3();
+  TempStore store("oneread");
+  const std::vector<StoredCell> cells = fill_two_shards(store, machine, 10);
+  ASSERT_EQ(store.shards().size(), 2u);
+  ASSERT_EQ(cells.size(), 80u);
+  ResultCache cache(store.path());
+
+  std::vector<size_t> reversed(cells.size());
+  std::iota(reversed.rbegin(), reversed.rend(), size_t{0});
+  std::vector<size_t> sparse, repeated;
+  for (size_t i = 0; i < cells.size(); i += 10) sparse.push_back(i);
+  // Every 7th cell, asked for three times over.
+  for (int round = 0; round < 3; ++round) {
+    for (size_t i = 0; i < cells.size(); i += 7) repeated.push_back(i);
+  }
+  const std::pair<const char*, std::vector<size_t>> shapes[] = {
+      {"whole shard", cells_in_shard(cells, store.shards()[1])},
+      {"every 10th cell", sparse},
+      {"repeated digests", repeated},
+      {"both shards, reversed", reversed},
+  };
+  for (const auto& [what, pick] : shapes) {
+    std::vector<RunResult> served(pick.size());
+    std::vector<ResultCache::Lookup> batch;
+    for (size_t k = 0; k < pick.size(); ++k) {
+      batch.push_back({cells[pick[k]].digest, &served[k], false});
+    }
+    EXPECT_EQ(cache.lookup(std::span(batch)), pick.size()) << what;
+    for (size_t k = 0; k < pick.size(); ++k) {
+      RunResult single;
+      ASSERT_TRUE(batch[k].hit) << what << " " << k;
+      ASSERT_TRUE(cache.lookup(cells[pick[k]].digest, &single))
+          << what << " " << k;
+      EXPECT_TRUE(same_result_bytes(served[k], single)) << what << " " << k;
+      EXPECT_TRUE(same_result_bytes(served[k], cells[pick[k]].serial))
+          << what << " " << k;
+    }
+  }
+}
+
+TEST(exp_cache, CutBetweenTwoWantedSpansMissesOnlyTheSpansPastIt) {
+  const sim::MachineConfig machine = sim::haswell_2650v3();
+  TempStore store("gapcut");
+  const std::vector<StoredCell> cells = fill_two_shards(store, machine, 10);
+  ResultCache cache(store.path());
+
+  // The batch wants every other record of the cut shard, so the one read
+  // runs over the unwanted records between them, and all of the other
+  // shard.
+  const fs::path cut_shard = store.shards()[0];
+  const std::vector<size_t> in_shard = cells_in_shard(cells, cut_shard);
+  ASSERT_GE(in_shard.size(), 8u);
+  std::vector<size_t> pick;
+  for (size_t j = 0; j < in_shard.size(); j += 2) pick.push_back(in_shard[j]);
+  const size_t before = pick.size() / 2;  // the last wanted span kept
+  for (size_t i = 0; i < cells.size(); ++i) {
+    if (cells[i].shard != cut_shard) pick.push_back(i);
+  }
+
+  // Cut inside the unwanted record after wanted span `before`: the gap
+  // between that span and the next wanted one.
+  const StoredCell& left = cells[in_shard[2 * before]];
+  const StoredCell& gap = cells[in_shard[2 * before + 1]];
+  const StoredCell& right = cells[in_shard[2 * before + 2]];
+  const uint64_t cut = (gap.result_begin + gap.result_end) / 2;
+  ASSERT_LT(left.result_end, cut);
+  ASSERT_LT(cut, right.result_begin);
+  fs::resize_file(cut_shard, cut);
+
+  std::vector<RunResult> served(pick.size());
+  std::vector<ResultCache::Lookup> batch;
+  for (size_t k = 0; k < pick.size(); ++k) {
+    batch.push_back({cells[pick[k]].digest, &served[k], false});
+  }
+  size_t expected_hits = 0;
+  for (const size_t i : pick) {
+    expected_hits += cells[i].shard != cut_shard || cells[i].result_end <= cut;
+  }
+  EXPECT_EQ(cache.lookup(std::span(batch)), expected_hits);
+  // The cut shard's wanted spans up to `before` are the only ones of it
+  // that hit.
+  const size_t wanted_in_cut = (in_shard.size() + 1) / 2;
+  EXPECT_EQ(expected_hits, pick.size() - wanted_in_cut + before + 1);
+  for (size_t k = 0; k < pick.size(); ++k) {
+    const StoredCell& cell = cells[pick[k]];
+    const bool cut_off = cell.shard == cut_shard && cell.result_end > cut;
+    EXPECT_EQ(batch[k].hit, !cut_off) << k;
+    if (batch[k].hit) {
+      EXPECT_TRUE(same_result_bytes(served[k], cell.serial)) << k;
+    } else {
+      EXPECT_TRUE(same_result_bytes(served[k], RunResult{})) << k;
     }
   }
 }

@@ -1,9 +1,9 @@
 // The record-file primitive on its own: frames written by encode_frame
 // scan back until the first bad one, single-frame files say what is
-// wrong with them, read_file and read_at return every byte or false,
-// concurrent atomic replaces of one path never tear or leak a temp, and
-// a replace never clobbers a FIFO. The formats built on it are covered
-// exhaustively in exp_corruption_test.
+// wrong with them, read_file returns every byte or false, read_at every
+// byte up to the end of the file, concurrent atomic replaces of one path
+// never tear or leak a temp, and a replace never clobbers a FIFO. The
+// formats built on it are covered exhaustively in exp_corruption_test.
 
 #include "exp/record_file.hpp"
 
@@ -147,7 +147,7 @@ TEST(RecordFile, ReadFileReturnsEveryByteOrFalse) {
   fs::remove_all(dir);
 }
 
-TEST(RecordFile, ReadAtReadsWholeSpansOnly) {
+TEST(RecordFile, ReadAtStopsOnlyAtTheEndOfTheFile) {
   const fs::path dir = fresh_dir("read_at");
   const std::string body = big_body();
   const std::string path = (dir / "big").string();
@@ -157,15 +157,22 @@ TEST(RecordFile, ReadAtReadsWholeSpansOnly) {
   std::string span(4096, '\0');
   for (const uint64_t offset :
        {uint64_t{0}, uint64_t{4097}, uint64_t{body.size() - 4096}}) {
-    ASSERT_TRUE(read_at(fd, offset, span.data(), span.size())) << offset;
+    ASSERT_EQ(read_at(fd, offset, span.data(), span.size()), span.size())
+        << offset;
     EXPECT_TRUE(span == body.substr(offset, span.size())) << offset;
   }
-  // A span running past the end is a short read: false.
-  EXPECT_FALSE(read_at(fd, body.size() - 100, span.data(), span.size()));
-  EXPECT_FALSE(read_at(fd, body.size() + 1, span.data(), 1));
-  EXPECT_TRUE(read_at(fd, body.size(), span.data(), 0));
+  // The whole file in one call.
+  std::string all(body.size(), '\0');
+  ASSERT_EQ(read_at(fd, 0, all.data(), all.size()), body.size());
+  EXPECT_TRUE(all == body);
+  // A span running past the end is a short read: the bytes up to the end.
+  span.assign(span.size(), '\0');
+  EXPECT_EQ(read_at(fd, body.size() - 100, span.data(), span.size()), 100u);
+  EXPECT_TRUE(span.substr(0, 100) == body.substr(body.size() - 100));
+  EXPECT_EQ(read_at(fd, body.size() + 1, span.data(), 1), 0u);
+  EXPECT_EQ(read_at(fd, body.size(), span.data(), 0), 0u);
   ::close(fd);
-  EXPECT_FALSE(read_at(-1, 0, span.data(), 1));
+  EXPECT_EQ(read_at(-1, 0, span.data(), 1), 0u);
   fs::remove_all(dir);
 }
 

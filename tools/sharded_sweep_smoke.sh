@@ -4,7 +4,8 @@
 # shards, each into a store of its own. The shards' files are copied into
 # one store, whose merge must print the single-process digest. A merge of
 # one shard's store alone must exit 1, and one of a missing store exit 2
-# without creating it.
+# without creating it. A shard or a merge given --baseline must exit 2:
+# neither makes the serial run a baseline is compared with.
 #
 #   sh tools/sharded_sweep_smoke.sh PATH/TO/micro_sweep WORK_DIR
 #
@@ -41,4 +42,15 @@ status=0
 echo "missing-store merge exit: $status"
 test "$status" -eq 2
 test ! -e absent
+
+status=0
+"$bench" --shard 0/2 --cache-dir refused --baseline full.json || status=$?
+echo "shard with --baseline exit: $status"
+test "$status" -eq 2
+test ! -e refused
+
+status=0
+"$bench" --merge merged --baseline full.json || status=$?
+echo "merge with --baseline exit: $status"
+test "$status" -eq 2
 echo "sharded sweep round trip: OK"
