@@ -41,6 +41,7 @@
 //   --sweep-timeout S whole-run wall-clock budget in seconds (the journal
 //                    survives; resume continues)
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -410,6 +411,21 @@ inline std::string provenance_json(const char* compiler,
   p.field("build_type", std::string(build_type));
   p.field("git_sha", git_sha());
   return p.compact();
+}
+
+/// Quartiles of a set of timings (nearest rank), for BENCH files that
+/// record a spread instead of one run. `samples` must not be empty.
+struct Spread {
+  double p25 = 0, p50 = 0, p75 = 0;
+};
+
+inline Spread spread_of(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  auto at = [&samples](double q) {
+    return samples[static_cast<size_t>(
+        q * static_cast<double>(samples.size() - 1) + 0.5)];
+  };
+  return {at(0.25), at(0.5), at(0.75)};
 }
 
 /// Run a sweep grid honouring --workers and --cache-dir: uncached benches

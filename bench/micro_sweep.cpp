@@ -28,10 +28,11 @@
 // cache object (every spec served from disk), and a re-open: a fresh
 // ResultCache on the same directory runs the grid again, paying the
 // open-time scan as every re-run of a figure bench does (reopen_open_s
-// is the scan, reopen_wall_s the scan plus the sweep). All three are
-// verified bit-identical to the uncached serial table. CF_BENCH_GATE=1
-// requires the warm re-run to be >= 20x faster than cold (and keeps the
-// 2x-vs-baseline throughput gate).
+// is the scan, reopen_wall_s the scan plus the sweep). warm_wall_s is the
+// first warm pass; 21 more give warm_median_s and its quartiles. Every
+// pass is verified bit-identical to the uncached serial table.
+// CF_BENCH_GATE=1 requires the warm re-run to be >= 20x faster than cold
+// (and keeps the 2x-vs-baseline throughput gate).
 //
 // --shard i/N --cache-dir DIR runs only the grid cells shard i owns into
 // the result cache at DIR, and exits 1 unless every owned cell is in the
@@ -210,6 +211,10 @@ Baseline load_baseline(const std::string& path, const GridShape& current) {
   base.shape_matches = base.shape == current;
   return base;
 }
+
+/// Warm passes timed after the one warm_wall_s reports: one pass is
+/// ~0.5 ms, too short to resolve a change from a single timing.
+constexpr int kWarmPasses = 21;
 
 /// The flags main() strips from argv before the shared parser runs.
 constexpr const char* kOwnFlags =
@@ -763,9 +768,21 @@ int main(int argc, char** argv) {
     const double cold_wall = now_s() - c0;
     exp::SweepRunStats warm_stats;
     const double w0 = now_s();
-    const std::vector<exp::RunResult> warm =
+    const std::vector<exp::RunResult> warm_rows =
         exp::run_sweep(grid, nullptr, &cache, &warm_stats);
     const double warm_wall = now_s() - w0;
+    std::vector<double> warm_passes;
+    bool warm_all_hits = warm_stats.cache_misses == 0;
+    for (int i = 0; i < kWarmPasses; ++i) {
+      exp::SweepRunStats pass_stats;
+      const double p0 = now_s();
+      const std::vector<exp::RunResult> pass =
+          exp::run_sweep(grid, nullptr, &cache, &pass_stats);
+      warm_passes.push_back(now_s() - p0);
+      warm_all_hits = warm_all_hits && pass_stats.cache_misses == 0 &&
+                      digest(grid, pass) == serial_digest;
+    }
+    const benchharness::Spread warm = benchharness::spread_of(warm_passes);
     const double r0 = now_s();
     exp::ResultCache reopened(args.cache_dir);
     const double reopen_open = now_s() - r0;
@@ -774,8 +791,8 @@ int main(int argc, char** argv) {
         exp::run_sweep(grid, nullptr, &reopened, &reopen_stats);
     const double reopen_wall = now_s() - r0;
     cache_identical = digest(grid, cold) == serial_digest &&
-                      digest(grid, warm) == serial_digest &&
-                      digest(grid, reopen) == serial_digest;
+                      digest(grid, warm_rows) == serial_digest &&
+                      warm_all_hits && digest(grid, reopen) == serial_digest;
     cache_cold = cold_stats.cache_misses == grid.size();
     warm_speedup = cold_wall / warm_wall;
     std::printf("  cache cold: %7.3fs wall (%zu hits / %zu misses)\n",
@@ -784,6 +801,8 @@ int main(int argc, char** argv) {
                 "%.1fx vs cold, results %s\n",
                 warm_wall, warm_stats.cache_hits, warm_stats.cache_misses,
                 warm_speedup, cache_identical ? "bit-identical" : "MISMATCH");
+    std::printf("  cache warm x%d: median %.6fs [%.6f, %.6f]\n", kWarmPasses,
+                warm.p50, warm.p25, warm.p75);
     std::printf("  cache reopen: %5.3fs wall, open %.4fs (%zu hits / %zu "
                 "misses)\n",
                 reopen_wall, reopen_open, reopen_stats.cache_hits,
@@ -797,6 +816,10 @@ int main(int argc, char** argv) {
     row.field("warm_hits", static_cast<int64_t>(warm_stats.cache_hits));
     row.field("warm_misses", static_cast<int64_t>(warm_stats.cache_misses));
     row.field("warm_speedup", warm_speedup, 2);
+    row.field("warm_passes", kWarmPasses);
+    row.field("warm_median_s", warm.p50, 6);
+    row.field("warm_p25_s", warm.p25, 6);
+    row.field("warm_p75_s", warm.p75, 6);
     row.field("reopen_open_s", reopen_open, 6);
     row.field("reopen_wall_s", reopen_wall, 6);
     row.field("reopen_hits", static_cast<int64_t>(reopen_stats.cache_hits));

@@ -34,19 +34,24 @@ constexpr uint32_t kRecordMagic = 0x43465243u;  // "CFRC"
 constexpr size_t kRecordHeader = 16 + 4 + 4;
 constexpr FrameLayout kRecordLayout{kRecordMagic, kRecordHeader, 2};
 
-/// True when `path` is a regular file holding exactly `bytes`. The open
-/// does not block, so a FIFO there fails the check instead of stalling it.
-bool holds_exactly(const std::string& path, std::string_view bytes) {
+/// Reads one of the store's own files whole into *out: false, with *out
+/// untouched, unless fstat says `path` is a regular file. The open does
+/// not block, so a FIFO planted in the store reads as unreadable instead
+/// of stalling every reader of it (read_file's open would wait for a
+/// writer forever).
+bool read_store_file(const std::string& path, std::string* out) {
   const FdCloser file(
       ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK));
   struct stat st {};
-  if (file.fd < 0 || ::fstat(file.fd, &st) != 0 || !S_ISREG(st.st_mode) ||
-      static_cast<uint64_t>(st.st_size) != bytes.size()) {
+  if (file.fd < 0 || ::fstat(file.fd, &st) != 0 || !S_ISREG(st.st_mode)) {
     return false;
   }
-  std::string held(bytes.size(), '\0');
-  return read_at(file.fd, 0, held.data(), held.size()) == held.size() &&
-         held == bytes;
+  std::string data(static_cast<size_t>(st.st_size), '\0');
+  // A shard cut since the fstat reads short, and the frame scan drops
+  // its torn tail.
+  data.resize(read_at(file.fd, 0, data.data(), data.size()));
+  *out = std::move(data);
+  return true;
 }
 
 }  // namespace
@@ -164,7 +169,7 @@ void ResultCache::scan_all() {
 
 void ResultCache::scan_shard(const std::string& path) {
   std::string data;
-  if (!read_file(path, &data)) {
+  if (!read_store_file(path, &data)) {
     CF_LOG_WARN("result cache: cannot read shard %s; ignoring", path.c_str());
     ++skipped_records_;
     return;
@@ -380,13 +385,16 @@ void ResultCache::note_run(uint64_t hits, uint64_t misses) {
   // A repeated sweep counts what the last one counted: the file already
   // holds these bytes, and replacing them would cost a temp file and a
   // rename for nothing.
-  if (!holds_exactly(path, buf)) write_file_atomic(path, buf);
+  std::string held;
+  if (!read_store_file(path, &held) || held != buf) {
+    write_file_atomic(path, buf);
+  }
 }
 
 ResultCache::LastRun ResultCache::last_run() const {
   std::string text;
   LastRun run;
-  if (!read_file(dir_ + "/last_run.stats", &text)) return run;
+  if (!read_store_file(dir_ + "/last_run.stats", &text)) return run;
   unsigned long long hits = 0, misses = 0;
   if (std::sscanf(text.c_str(), "%llu %llu", &hits, &misses) != 2) return run;
   run.present = true;

@@ -41,7 +41,9 @@ bool decode_result(const void* data, size_t size, RunResult* out);
 class ResultCache {
  public:
   /// Creates `dir` if missing and scans every shard into the in-memory
-  /// index (digest -> file/offset; payloads stay on disk).
+  /// index (digest -> file/offset; payloads stay on disk). A shard that
+  /// cannot be read or is not a regular file (a FIFO named like one) is
+  /// logged and skipped; the scan never blocks on it.
   explicit ResultCache(std::string dir);
 
   size_t size() const { return entries_.size(); }
@@ -96,6 +98,8 @@ class ResultCache {
   /// already hold these counters, so a repeated warm sweep writes
   /// nothing.
   void note_run(uint64_t hits, uint64_t misses);
+  /// The counters note_run last wrote; absent when last_run.stats is
+  /// missing, unparsable or not a regular file.
   LastRun last_run() const;
 
   /// Deletes oldest-first whole shards until the store is <= max_bytes;

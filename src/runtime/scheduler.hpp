@@ -125,8 +125,9 @@ class TaskScheduler {
 
   /// True when the calling worker's deque is empty — i.e. thieves would
   /// find nothing to take. Used by lazy binary splitting (parallel_for)
-  /// to split ranges only when parallelism is actually wanted. Always
-  /// true for threads outside the pool.
+  /// to split ranges, and by UTS (uts_count_parallel) to spawn a child
+  /// instead of walking it, only when parallelism is actually wanted.
+  /// Always true for threads outside the pool.
   bool want_more_work() const;
 
   struct Stats {

@@ -1,6 +1,7 @@
 #include "workloads/kernels/stencil.hpp"
 
 #include <cmath>
+#include <cstring>
 
 #include "common/assert.hpp"
 
@@ -41,12 +42,37 @@ double Grid2D::max_abs_diff(const Grid2D& other) const {
 
 namespace {
 
+/// Two doubles, one SSE2 register: GCC's -O2 cost model leaves the
+/// scalar row loop unvectorized, so heat_rows asks for the lanes itself.
+using Double2 = double __attribute__((vector_size(16)));
+
+Double2 load2(const double* p) {
+  Double2 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// out(r, c) = 0.25 * (((up + down) + left) + right) over rows [r0, r1),
+/// two columns per vector operation. Each lane rounds exactly as the
+/// scalar expression does, which also finishes an odd interior width, so
+/// every point has the same bits as a one-column-at-a-time loop.
 void heat_rows(const Grid2D& in, Grid2D& out, int64_t r0, int64_t r1) {
-  const int64_t cols = in.cols();
+  const int64_t last = in.cols() - 1;  // the right halo column
+  const Double2 quarter = {0.25, 0.25};
   for (int64_t r = r0; r < r1; ++r) {
-    for (int64_t c = 1; c < cols - 1; ++c) {
-      out.at(r, c) = 0.25 * (in.at(r - 1, c) + in.at(r + 1, c) +
-                             in.at(r, c - 1) + in.at(r, c + 1));
+    const double* up = in.row(r - 1);
+    const double* mid = in.row(r);
+    const double* down = in.row(r + 1);
+    double* dst = out.row(r);
+    int64_t c = 1;
+    for (; c + 1 < last; c += 2) {
+      const Double2 v = quarter * (((load2(up + c) + load2(down + c)) +
+                                    load2(mid + c - 1)) +
+                                   load2(mid + c + 1));
+      std::memcpy(dst + c, &v, sizeof v);
+    }
+    if (c < last) {
+      dst[c] = 0.25 * (up[c] + down[c] + mid[c - 1] + mid[c + 1]);
     }
   }
 }

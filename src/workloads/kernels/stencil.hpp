@@ -18,6 +18,11 @@ class Grid2D {
   int64_t cols() const { return cols_; }
   double& at(int64_t r, int64_t c) { return data_[idx(r, c)]; }
   double at(int64_t r, int64_t c) const { return data_[idx(r, c)]; }
+  /// Row `r`'s cols() contiguous values, halo columns included: at(r, c)
+  /// is row(r)[c]. Valid until the grid is resized, moved from or
+  /// destroyed.
+  double* row(int64_t r) { return data_.data() + idx(r, 0); }
+  const double* row(int64_t r) const { return data_.data() + idx(r, 0); }
 
   /// Fix boundary values (Dirichlet) to `value`.
   void set_boundary(double value);

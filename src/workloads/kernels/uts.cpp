@@ -53,46 +53,61 @@ uint64_t uts_count_parallel(runtime::TaskScheduler& rt,
   };
   std::vector<Slot> slots(static_cast<size_t>(rt.size()));
 
-  // One async per node down to depth 6, then sequential subtree walks.
-  // This mirrors how the irregular-task variants create dynamic
-  // parallelism.
+  // Lazy task creation (the lazy binary splitting of parallel_for.hpp;
+  // Tzannes et al., PPoPP'10): down to depth 6, a child becomes a task
+  // only while the worker's own deque is empty, i.e. while a thief would
+  // find nothing to take; otherwise it is walked inline. The subtrees of
+  // depth-6 nodes' children are counted sequentially. A busy pool
+  // therefore runs a few tasks per steal instead of one per node, and
+  // each task adds the nodes it walked inline to its worker's slot once.
   struct Walker {
     runtime::TaskScheduler& rt;
     const UtsParams& p;
     Slot* slots;
 
-    void walk(uint64_t id, int depth) const {
+    // Walks node `id` at `depth` and returns the nodes walked inline, the
+    // node itself included; children shed as tasks count themselves.
+    uint64_t walk(uint64_t id, int depth) const {
       uint64_t nodes = 1;
       const int kids = child_count(p, id, false);
       for (int c = 0; c < kids; ++c) {
         const uint64_t cid = child_id(id, c);
-        if (depth < 6) {
-          rt.async([this, cid, depth] { walk(cid, depth + 1); });
-        } else {
+        if (depth >= 6) {
           nodes += count_subtree(p, cid, false);
+        } else if (rt.want_more_work()) {
+          rt.async([this, cid, depth] { add(walk(cid, depth + 1)); });
+        } else {
+          nodes += walk(cid, depth + 1);
         }
       }
-      slots[runtime::TaskScheduler::current_worker()].nodes += nodes;
+      return nodes;
     }
 
-    // Root children [lo, hi): hands the upper halves out as tasks by
-    // recursive halving, then walks child lo. Every root-level task
-    // walks exactly one root child, and no deque receives them all.
+    // Root children [lo, hi), split as lbs_span splits a loop: the upper
+    // half is shed as a task only while the deque is empty, and
+    // otherwise the next root child is walked.
     void walk_root_children(int lo, int hi) const {
-      while (hi - lo > 1) {
-        const int mid = lo + (hi - lo) / 2;
-        rt.async([this, mid, hi] { walk_root_children(mid, hi); });
-        hi = mid;
+      uint64_t nodes = 0;
+      while (lo < hi) {
+        if (hi - lo > 1 && rt.want_more_work()) {
+          const int mid = lo + (hi - lo) / 2;
+          rt.async([this, mid, hi] { walk_root_children(mid, hi); });
+          hi = mid;
+        } else {
+          nodes += walk(child_id(p.root_seed, lo++), 1);
+        }
       }
-      walk(child_id(p.root_seed, lo), 1);
+      add(nodes);
+    }
+
+    void add(uint64_t nodes) const {
+      slots[runtime::TaskScheduler::current_worker()].nodes += nodes;
     }
   };
 
   const Walker walker{rt, params, slots.data()};
   rt.finish([&walker, &params] {
-    if (params.root_branching > 0) {
-      walker.walk_root_children(0, params.root_branching);
-    }
+    walker.walk_root_children(0, params.root_branching);
   });
   uint64_t total = 1;  // the root
   for (const Slot& s : slots) total += s.nodes;

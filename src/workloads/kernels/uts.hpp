@@ -26,10 +26,14 @@ double uts_expected_size(const UtsParams& params);
 /// Sequential traversal; returns the number of nodes (including root).
 uint64_t uts_count_sequential(const UtsParams& params);
 
-/// Async-finish traversal on the work-stealing runtime: one task per
-/// subtree, the paper's "inbuilt work-stealing" style of UTS. Root
-/// children are handed out by recursive halving, and node counts go to
-/// per-worker slots, not a shared counter.
+/// Async-finish traversal on the work-stealing runtime, the paper's
+/// "inbuilt work-stealing" style of UTS, with lazy task creation: down to
+/// depth 6 a child becomes a stealable task only while the calling
+/// worker's deque is empty, and is walked inline otherwise. Root children
+/// are split like a lazy binary-splitting loop (parallel_for.hpp): the
+/// upper half of the remaining range is shed only while the deque is
+/// empty. Each task adds the nodes it walked to its worker's slot once,
+/// so the count is an exact integer sum under any schedule.
 uint64_t uts_count_parallel(runtime::TaskScheduler& rt,
                             const UtsParams& params);
 

@@ -771,6 +771,50 @@ TEST(exp_cache, NoteRunNeitherBlocksOnNorReplacesAFifo) {
             std::vector<std::string>{"last_run.stats"});
 }
 
+/// Runs `body` in a forked child under a 5 s alarm and returns its exit
+/// code, or -1 when a signal ended it: a read that blocks fails the test
+/// instead of hanging it.
+int exit_code_in_child(const std::function<int()>& body) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::alarm(5);
+    ::_exit(body());
+  }
+  int status = 0;
+  if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status)) return -1;
+  return WEXITSTATUS(status);
+}
+
+TEST(exp_cache, OpenSkipsAFifoNamedLikeAShard) {
+  TempStore store("shard_fifo");
+  const RunResult result;
+  {
+    ResultCache cache(store.path());
+    cache.insert_batch({{SpecDigest{1, 2}, "spec", &result}});
+  }
+  // Sorts before the real shard, so the scan meets it first.
+  const std::string fifo =
+      (store.dir() / "shard-0000000000000000.bin").string();
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  EXPECT_EQ(exit_code_in_child([&] {
+              const ResultCache cache(store.path());
+              const ResultCache::Stats st = cache.stats();
+              return st.entries == 1 && st.shards == 1 &&
+                             st.skipped_records == 1
+                         ? 0
+                         : 1;
+            }),
+            0);
+}
+
+TEST(exp_cache, LastRunReadsAFifoAsAbsent) {
+  TempStore store("last_run_fifo");
+  const ResultCache cache(store.path());
+  const std::string path = (store.dir() / "last_run.stats").string();
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  EXPECT_EQ(exit_code_in_child([&] { return cache.last_run().present; }), 0);
+}
+
 TEST(exp_cache, CacheDirVanishingMidRunDegradesToSimulation) {
   const sim::MachineConfig machine = sim::haswell_2650v3();
   const SweepGrid grid = make_grid(machine, 2);

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <functional>
+#include <iterator>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "runtime/scheduler.hpp"
 #include "workloads/kernels/amg.hpp"
 #include "workloads/kernels/cg.hpp"
@@ -20,17 +25,34 @@ TEST(Uts, SequentialIsDeterministic) {
 }
 
 TEST(Uts, ParallelMatchesSequential) {
-  // 0 and 1 root children leave the root-range halving nothing to hand
-  // out; 7 gives it uneven halves.
+  // 0 and 1 root children leave the root-range split nothing to hand out;
+  // 7 gives it uneven halves. The 44,000-root-child tree (~477k nodes)
+  // runs long enough at 2 and 4 workers for real steals, which the
+  // sanitizer builds of this test then check.
   for (const int workers : {1, 2, 4}) {
     runtime::TaskScheduler rt(workers);
-    for (const int branching : {0, 1, 7, 100}) {
+    for (const int branching : {0, 1, 7, 100, 44000}) {
       UtsParams p;
+      if (branching == 44000) p.root_seed = 1000;  // cfbench's tree
       p.root_branching = branching;
       EXPECT_EQ(uts_count_parallel(rt, p), uts_count_sequential(p))
           << branching << " root children at " << workers << " workers";
     }
   }
+}
+
+TEST(Uts, OneWorkerSpawnsOnlyWhenItsDequeIsEmpty) {
+  // With one worker nobody steals, so after the first split the deque is
+  // never empty while a task runs: each root-range task sheds one upper
+  // half and walks the rest inline, ~log2(44,000) tasks in all. One task
+  // per node down to depth 6 would be 213,760.
+  runtime::TaskScheduler rt(1);
+  UtsParams p;
+  p.root_seed = 1000;
+  p.root_branching = 44000;
+  const uint64_t before = rt.stats().executed;
+  EXPECT_EQ(uts_count_parallel(rt, p), 477105u);
+  EXPECT_LT(rt.stats().executed - before, 64u);
 }
 
 TEST(Uts, SizeNearExpectation) {
@@ -78,6 +100,83 @@ TEST(Heat, TaskVariantsMatchSequential) {
   EXPECT_EQ(out_seq.max_abs_diff(out_rt), 0.0);
   EXPECT_EQ(out_seq.max_abs_diff(out_irt), 0.0);
   EXPECT_EQ(out_seq.max_abs_diff(out_lbs), 0.0);
+}
+
+TEST(Heat, CfbenchShapeChecksumIsPinned) {
+  // cfbench's session_kernel reference: 257², hot top row, 100 steps.
+  // The bits were taken from the one-column-at-a-time row loop.
+  Grid2D a = hot_plate(257);
+  Grid2D b = a;
+  for (int s = 0; s < 100; ++s) {
+    heat_step_seq(a, b);
+    std::swap(a, b);
+  }
+  EXPECT_EQ(a.checksum(), 0x1.2e25a80b59865p+17);
+}
+
+/// One Jacobi step one point at a time, in the association order the
+/// kernels document: 0.25 * (((up + down) + left) + right).
+void scalar_heat_step(const Grid2D& in, Grid2D& out) {
+  for (int64_t r = 1; r < in.rows() - 1; ++r) {
+    for (int64_t c = 1; c < in.cols() - 1; ++c) {
+      const double sum = ((in.at(r - 1, c) + in.at(r + 1, c)) +
+                          in.at(r, c - 1)) +
+                         in.at(r, c + 1);
+      out.at(r, c) = 0.25 * sum;
+    }
+  }
+}
+
+bool same_bits(const Grid2D& a, const Grid2D& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (int64_t r = 0; r < a.rows(); ++r) {
+    for (int64_t c = 0; c < a.cols(); ++c) {
+      if (std::bit_cast<uint64_t>(a.at(r, c)) !=
+          std::bit_cast<uint64_t>(b.at(r, c))) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(Heat, EveryDecompositionMatchesAScalarReferenceAtEveryWidth) {
+  // Odd interior widths end in the scalar tail; 3 columns leave a single
+  // interior column, 257 is cfbench's width.
+  runtime::TaskScheduler rt(4);
+  std::vector<int64_t> widths;
+  for (int64_t w = 3; w <= 20; ++w) widths.push_back(w);
+  widths.push_back(257);
+  for (const int64_t cols : widths) {
+    constexpr int64_t kRows = 21;
+    Grid2D in(kRows, cols);
+    SplitMix64 rng(static_cast<uint64_t>(cols));
+    for (int64_t r = 0; r < kRows; ++r) {
+      for (int64_t c = 0; c < cols; ++c) {
+        in.at(r, c) = 200.0 * rng.next_double() - 100.0;
+      }
+    }
+    // Distinct outputs start from a copy of the input, so the boundary
+    // the kernels never write compares equal too.
+    Grid2D ref = in;
+    scalar_heat_step(in, ref);
+    const std::function<void(Grid2D&)> variants[] = {
+        [&](Grid2D& out) { heat_step_seq(in, out); },
+        [&](Grid2D& out) { heat_step_ws(rt, in, out); },
+        [&](Grid2D& out) { heat_step_lbs(rt, in, out, 3); },
+        [&](Grid2D& out) {
+          heat_step_tasks(rt, in, out, runtime::DagShape::kRegular, 3);
+        },
+        [&](Grid2D& out) {
+          heat_step_tasks(rt, in, out, runtime::DagShape::kIrregular, 3);
+        }};
+    const char* const names[] = {"seq", "ws", "lbs", "rt", "irt"};
+    for (size_t v = 0; v < std::size(variants); ++v) {
+      Grid2D out = in;
+      variants[v](out);
+      EXPECT_TRUE(same_bits(out, ref)) << names[v] << " at width " << cols;
+    }
+  }
 }
 
 TEST(Heat, DiffusionConvergesTowardsLinearProfile) {
